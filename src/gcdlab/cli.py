@@ -132,7 +132,7 @@ def _policy(args) -> primality.PrimalityPolicy:
 
 
 def _meta(args, **extra) -> dict:
-    meta = {"argv": sys.argv[1:], "budget": args.budget, "seed": args.seed}
+    meta = {"argv": args.argv, "budget": args.budget, "seed": args.seed}
     meta.update(extra)
     return meta
 
@@ -318,16 +318,16 @@ _DISPATCH = {
 
 def dispatch(argv=None) -> int:
     ap = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    received = list(sys.argv[1:] if argv is None else argv)
     # join "--tail -3,-13" into "--tail=-3,-13" so argparse does not read the
     # leading minus of the value as an option
-    argv = list(argv)
+    argv = list(received)
     for i, tok in enumerate(argv[:-1]):
         if tok == "--tail":
             argv[i : i + 2] = [f"--tail={argv[i + 1]}"]
             break
     args = ap.parse_args(argv)
+    args.argv = received  # the metadata records the command line as given
     try:
         return _DISPATCH[args.cmd](args)
     except (SpecParseError, ValueError, KeyError) as exc:

@@ -9,14 +9,20 @@ mod beta) that condition only depends on n mod p and n mod beta, so the next
 event can be located from the prime factors of the class polynomials evaluated
 at s + 1.  This lets a run jump from event to event, turning ~10^8-step tables
 into a few thousand factorizations.
+
+Those factorizations are done in-house: values below 2^20 are read off a
+smallest-prime-factor (SPF) table built by one vectorised sieve; larger ones
+are trial-divided by the primes below 2^12, and the cofactors left over are
+split by Brent's variant of Pollard rho and tested with `primality.is_prime`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from math import gcd
+from functools import cache, lru_cache
+from math import gcd, isqrt
 
 from .generators import poly_eval
+from .primality import is_prime
 
 ABS_BACKWARD = "abs"
 SIGNED_BACKWARD = "signed"
@@ -27,10 +33,18 @@ DEFAULT_BUDGET = 10_000_000
 # Above this, factoring the class polynomial value is slower than stepping.
 _FACTOR_LIMIT = 10**34
 _SPF_LIMIT = 1 << 20
+# Large factoring inputs are first trial-divided by the primes below this.
+_TRIAL_LIMIT = 1 << 12
+# Brent rho: steps whose x - y are multiplied together before one gcd.
+_RHO_BATCH = 128
 
 
 class NonterminatingZeroRequest(ValueError):
     """A zero was requested but the run starts at zero in a mode that halts."""
+
+
+class EngineInvariantError(RuntimeError):
+    """An internal invariant of the descent failed: the engine has a bug."""
 
 
 @dataclass(frozen=True)
@@ -68,34 +82,105 @@ _spf = None
 
 
 def _spf_table():
+    """Smallest prime factor of every index below _SPF_LIMIT (t[1] = 1)."""
     global _spf
     if _spf is None:
         import numpy as np
 
         t = np.zeros(_SPF_LIMIT, dtype=np.int32)
-        t[1] = 1
-        for p in range(2, _SPF_LIMIT):
+        for p in range(2, isqrt(_SPF_LIMIT - 1) + 1):
             if t[p] == 0:
-                t[p::p][t[p::p] == 0] = p
+                multiples = t[p * p :: p]
+                multiples[multiples == 0] = p
+        unset = np.flatnonzero(t == 0)[1:]  # primes, and 1; index 0 stays 0
+        t[unset] = unset
         _spf = t
     return _spf
 
 
+def _spf_factors(q: int) -> list:
+    """Distinct prime factors of 1 <= q < _SPF_LIMIT, from the SPF table."""
+    t = _spf_table()
+    out = []
+    while q > 1:
+        p = int(t[q])
+        out.append(p)
+        while q % p == 0:
+            q //= p
+    return out
+
+
+@cache
+def _small_primes() -> tuple:
+    """The primes below _TRIAL_LIMIT, in increasing order."""
+    t = _spf_table()
+    return tuple(p for p in range(2, _TRIAL_LIMIT) if t[p] == p)
+
+
+def _brent_split(n: int) -> int:
+    """A proper divisor of the odd composite n, by Brent's variant of Pollard
+    rho (Brent 1980): x -> x^2 + c from x = 2, with c = 1, 2, ... until one
+    splits n.  The x - y products are batched _RHO_BATCH at a time under one
+    gcd; a batch that overshoots to n is replayed one gcd at a time."""
+    c = 0
+    while True:
+        c += 1
+        y, r, prod, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * (x - y) % n
+                g = gcd(prod, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
 @lru_cache(maxsize=65536)
 def _prime_factors(q: int) -> tuple:
-    """Distinct prime factors of q >= 2."""
+    """Distinct prime factors of q >= 2, in increasing order.
+
+    Below _SPF_LIMIT they are read off the SPF table.  Above it: trial
+    division by the primes below _TRIAL_LIMIT, then a stack of cofactors
+    where each one below _SPF_LIMIT goes to the SPF table, each one that
+    `primality.is_prime` accepts is a factor, and any other is split by
+    Brent's rho.  `is_prime` is exact below DETERMINISTIC_BOUND; a cofactor
+    at or above it is a probable prime under DEFAULT_POLICY, with error at
+    most 4**-40 (sympy's BPSW test, used here before, was not proven in that
+    range either).
+    """
     if q < _SPF_LIMIT:
-        t = _spf_table()
-        out = []
-        while q > 1:
-            p = int(t[q])
-            out.append(p)
+        return tuple(_spf_factors(q))
+    found = set()
+    for p in _small_primes():
+        if q % p == 0:
+            found.add(p)
+            q //= p
             while q % p == 0:
                 q //= p
-        return tuple(out)
-    from sympy import factorint
-
-    return tuple(factorint(q))
+    stack = [q]
+    while stack:
+        m = stack.pop()
+        if m < _SPF_LIMIT:
+            found.update(_spf_factors(m))
+        elif is_prime(m):
+            found.add(m)
+        else:
+            d = _brent_split(m)
+            stack += (d, m // d)
+    return tuple(sorted(found))
 
 
 def _next_event(n: int, s: int, beta: int, polys) -> int | None:
@@ -158,8 +243,8 @@ def _run_backward_step(config: RunConfig) -> Trace:
         g = gcd(a, abs(arg.eval_arg(n)))
         prev = a
         a = abs(prev - g)
-        if prev > 0:
-            assert 0 <= a <= prev - 1, "descent invariant violated"
+        if prev > 0 and not 0 <= a <= prev - 1:
+            raise EngineInvariantError(f"descent invariant violated at n={n}")
         d = a - prev
         if d > 1 or d < -1:
             trace.large_steps.append((n, d))
@@ -224,7 +309,8 @@ def _run_backward_jump(config: RunConfig, beta: int, polys) -> Trace:
                 break
             continue
         g = gcd(s - event + 1, abs(arg.eval_arg(event)))
-        assert g > 1, "event detection found a unit step"
+        if g <= 1:
+            raise EngineInvariantError(f"event detection found a unit step at n={event}")
         prev = s - event + 1
         n = event
         a = prev - g

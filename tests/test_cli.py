@@ -1,5 +1,8 @@
 """CLI: subcommands, formats, determinism, exit codes."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -141,3 +144,26 @@ def test_unknown_subcommand_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.dispatch(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_json_metadata_records_dispatch_argv(capsys):
+    argv = ["zeros", "--spec", "affine:m=1", "--count", "3", "--format", "json"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["metadata"]["argv"] == argv
+
+
+def test_cli_runs_without_sympy(capsys):
+    argv = ["stats", "upsilon-v", "--count", "5"]
+    code, expected = run_cli(capsys, *argv)
+    assert code == 0
+    script = (
+        "import runpy, sys; sys.modules['sympy'] = None; "
+        f"sys.argv = ['gcdlab', *{argv!r}]; "
+        "runpy.run_module('gcdlab.cli', run_name='__main__')"
+    )
+    paths = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected

@@ -192,3 +192,18 @@ def test_descent_invariant_sampled():
 def test_parse_spec_integration():
     zs = engine.zeros(RunConfig(initial=1, arg=parse_spec("affine:m=1")), 5)
     assert zs == [2, 5, 11, 23, 47]
+
+
+class _InconsistentArg:
+    """g(n) = 1 for every n, but residue polynomials that claim g(n) = n."""
+
+    def eval_arg(self, n):
+        return 1
+
+    def residue_polys(self):
+        return 1, [[0, 1]]
+
+
+def test_jump_event_invariant_raises():
+    with pytest.raises(engine.EngineInvariantError, match="unit step"):
+        engine.run(RunConfig(initial=10, arg=_InconsistentArg()))
