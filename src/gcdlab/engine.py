@@ -1,27 +1,33 @@
 """The recursion engine: absolute/signed backward descent and forward addition.
 
-The backward recursions spend almost all of their time on plateaus where
-each step subtracts exactly 1.  On a plateau starting from state a(n0) = s - n0
-the invariant s = a(n) + n holds until the next step with gcd > 1, and such a
-step happens at index n exactly when some prime p divides both s + 1 - n and
-g(n).  For congruence-periodic arguments (g polynomial on each residue class
-mod beta) that condition only depends on n mod p and n mod beta, so the next
-event can be located from the prime factors of the class polynomials evaluated
-at s + 1.  This lets a run jump from event to event, turning ~10^8-step tables
-into a few thousand factorizations.
+The recursions spend almost all of their time on plateaus of unit steps, where
+a(i) = a(n) - (i - n) backward (s = a + n invariant) or a(n) + (i - n) forward
+(c = a - n invariant).  The next step with gcd > 1 is at the least i where some
+prime p divides both a(i - 1) and g(i); since p | a(i - 1) means i = x (mod p),
+with x = s + 1 backward and x = 1 - c forward, and g(i) = polys[sel(i)](i), that
+is where p divides polys[sel(i)](x).  `residue_polys()` gives (sel, polys): an
+int period beta (sel(i) = i mod beta) or a callable such as BeattyTwin's digit.
+So a run jumps from event to event on the prime factors of a few polynomial
+values, turning ~10^8-step tables into a few thousand factorizations.
 
-Those factorizations are done in-house: values below 2^20 are read off a
+A plateau is stepped naively instead when a = 0, when a polynomial value
+exceeds _FACTOR_LIMIT, when sel raises BeattyPrecisionError, or when it reaches
+the family's first_unsafe_index (where evaluating g raises): the run then
+raises exactly where, and only where, one-step-at-a-time stepping would.
+
+The factorizations are done in-house: values below 2^20 are read off a
 smallest-prime-factor (SPF) table built by one vectorised sieve; larger ones
 are trial-divided by the primes below 2^12, and the cofactors left over are
 split by Brent's variant of Pollard rho and tested with `primality.is_prime`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 from functools import cache, lru_cache
 from math import gcd, isqrt
 
-from .generators import poly_eval
+from .generators import BeattyPrecisionError, poly_eval
 from .primality import is_prime
 
 ABS_BACKWARD = "abs"
@@ -67,15 +73,43 @@ class RunConfig:
             raise ValueError("initial must be >= 0")
 
 
+class ForwardDiffs(Sequence):
+    """The differences a(n) - a(n-1) over a range of indices n, read from a
+    dict of the non-unit ones: memory grows with the events, not the steps."""
+
+    def __init__(self, indices: range, steps: dict):
+        self.indices, self.steps = indices, steps
+
+    def __len__(self):
+        return len(self.indices)
+
+    def __getitem__(self, k):
+        n = self.indices[k]
+        if isinstance(n, range):
+            return [self.steps.get(i, 1) for i in n]
+        return self.steps.get(n, 1)
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
 @dataclass
 class Trace:
     zero_indices: list = field(default_factory=list)
     large_steps: list = field(default_factory=list)  # (n, delta) with |delta| > 1
-    forward_diffs: list = field(default_factory=list)
+    forward_steps: list | None = None  # forward mode: (n, delta) with delta != 1
     final_index: int = 0
     final_value: int = 0
     iterations_used: int = 0
     budget_exhausted: bool = False
+
+    @property
+    def forward_diffs(self):
+        """Forward mode: one difference per step taken (empty otherwise)."""
+        if self.forward_steps is None:
+            return []
+        first = self.final_index - self.iterations_used + 1
+        return ForwardDiffs(range(first, self.final_index + 1), dict(self.forward_steps))
 
 
 _spf = None
@@ -183,188 +217,116 @@ def _prime_factors(q: int) -> tuple:
     return tuple(sorted(found))
 
 
-def _next_event(n: int, s: int, beta: int, polys) -> int | None:
-    """Smallest index > n, <= s-1, where the descent takes a gcd > 1 step.
-
-    On the plateau a(i) = s - i; a step at i has gcd > 1 iff some prime p
-    divides both a(i-1) = s + 1 - i and g(i).  For each residue class r the
-    divisibility by p of g(i) depends only on p | poly_r(s + 1) because
-    i = s + 1 (mod p) at the candidate indices.
-    """
-    best = None
-    for r in range(beta):
-        q = abs(poly_eval(polys[r], s + 1))
-        if q == 0:
-            cand = n + 1 + ((r - n - 1) % beta)
-            if cand <= s - 1 and (best is None or cand < best):
-                best = cand
-            continue
+def _next_event(n: int, x: int, hi: int, sel, polys) -> int | None:
+    """Least i in (n, hi] at which some prime p divides polys[sel(i)](x) and
+    i = x (mod p), or None; where polys[k](x) == 0, the first i with sel(i) == k.
+    Each p's candidates are walked upwards until sel(i) matches; for an int
+    period beta, beta steps cover every class there is."""
+    beta = sel if isinstance(sel, int) else 0
+    best = hi + 1
+    for k, poly in enumerate(polys):
+        q = abs(poly_eval(poly, x))
         if q == 1:
             continue
-        for p in _prime_factors(q):
-            cand = n + 1 + ((s + 1 - n - 1) % p)
-            # align the candidate with residue class r (step by p, beta tries)
-            ok = True
-            for _ in range(beta):
-                if cand % beta == r:
-                    break
-                cand += p
+        for p in _prime_factors(q) if q else (1,):
+            i = n + 1 + (x - n - 1) % p
+            if beta:
+                for _ in range(beta):
+                    if i >= best or i % beta == k:
+                        break
+                    i += p
+                else:
+                    continue
             else:
-                ok = False
-            if ok and cand <= s - 1 and (best is None or cand < best):
-                best = cand
-    return best
+                while i < best and sel(i) != k:
+                    i += p
+            if i < best:
+                best = i
+    return best if best <= hi else None
 
 
 def run(config: RunConfig) -> Trace:
     """Execute the recursion described by config and return its event trace."""
-    if config.mode == FORWARD_ADD:
-        return _run_forward(config)
-    if config.stop_after_zeros is not None and config.initial == 0:
-        raise NonterminatingZeroRequest("zero requested but the run starts at zero")
-    rp = config.arg.residue_polys()
-    if rp is not None:
-        return _run_backward_jump(config, *rp)
-    return _run_backward_step(config)
-
-
-def _run_backward_step(config: RunConfig) -> Trace:
-    trace = Trace()
-    arg = config.arg
-    a = config.initial
-    n = config.start_index
-    limit = config.start_index + config.budget
+    forward = config.mode == FORWARD_ADD
     signed = config.mode == SIGNED_BACKWARD
     want = config.stop_after_zeros
+    if not forward and want is not None and config.initial == 0:
+        raise NonterminatingZeroRequest("zero requested but the run starts at zero")
+    trace = Trace(forward_steps=[] if forward else None)
+    arg = config.arg
+    sel, polys = arg.residue_polys()
+    step = 1 if forward else -1
+    a, n = config.initial, config.start_index
+    limit = n + config.budget
+    # evaluating g raises first at this index; a plateau reaching it is stepped
+    unsafe = getattr(arg, "first_unsafe_index", lambda n: limit + 1)(n)
     while n < limit:
         if signed and a == 0:
             break
-        n += 1
-        g = gcd(a, abs(arg.eval_arg(n)))
-        prev = a
-        a = abs(prev - g)
-        if prev > 0 and not 0 <= a <= prev - 1:
-            raise EngineInvariantError(f"descent invariant violated at n={n}")
-        d = a - prev
-        if d > 1 or d < -1:
-            trace.large_steps.append((n, d))
-        if a == 0:
-            trace.zero_indices.append(n)
-            if want is not None and len(trace.zero_indices) >= want:
-                break
-    trace.final_index = n
-    trace.final_value = a
-    trace.iterations_used = n - config.start_index
-    trace.budget_exhausted = (
-        n >= limit and want is not None and len(trace.zero_indices) < want
-    )
-    return trace
-
-
-def _run_backward_jump(config: RunConfig, beta: int, polys) -> Trace:
-    trace = Trace()
-    arg = config.arg
-    a = config.initial
-    n = config.start_index
-    limit = config.start_index + config.budget
-    signed = config.mode == SIGNED_BACKWARD
-    want = config.stop_after_zeros
-
-    def record_zero(idx):
-        trace.zero_indices.append(idx)
-        return want is not None and len(trace.zero_indices) >= want
-
-    while n < limit:
-        if a == 0:
-            if signed:
-                break
-            # absolute mode regenerates: a(n+1) = |g(n+1)|
-            n += 1
-            a = abs(arg.eval_arg(n))
-            if a > 1:
-                trace.large_steps.append((n, a))
-            if a == 0 and record_zero(n):
-                break
-            continue
-        s = a + n
-        # big class polynomial values: factoring beats stepping only so far
-        if any(abs(poly_eval(p, s + 1)) > _FACTOR_LIMIT for p in polys):
+        # a(i) = a + step*(i - n) up to the next event, where a prime p divides
+        # both a(i - 1) and g(i); so i = x (mod p) and p | polys[sel(i)](x)
+        x = n + 1 - step * a
+        # the plateau's last index: backward it reaches 0 at x - 1
+        top = hi = limit
+        if not forward and x - 1 <= limit:
+            top, hi = x - 1, x - 2
+        end = None
+        if a and all(abs(poly_eval(p, x)) <= _FACTOR_LIMIT for p in polys):
+            try:
+                # forward from a = 1 the first step is a unit step whatever g is
+                event = _next_event(n + (forward and a == 1), x, hi, sel, polys)
+                end = top if event is None else event
+            except BeattyPrecisionError:
+                pass
+        if end is None or unsafe <= end:
             n, a, stop = _step_until_event(config, trace, n, a, limit)
             if stop:
                 break
             continue
-        event = _next_event(n, s, beta, polys)
-        if event is None or event > limit:
-            # pure -1 descent to the zero at index s (or to the budget limit)
-            target = s if event is None else limit
-            if target >= limit:
-                n = limit
-                a = s - n
-                if a == 0 and record_zero(n):
-                    break
-                continue
-            n = s
-            a = 0
-            if record_zero(n):
+        if event is None:
+            a += step * (end - n)
+            n = end
+        else:
+            prev = a + step * (event - 1 - n)
+            g = gcd(prev, abs(arg.eval_arg(event)))
+            if g <= 1:
+                raise EngineInvariantError(f"event detection found a unit step at n={event}")
+            n, a = event, prev + step * g
+            trace.large_steps.append((n, a - prev))
+            if forward:
+                trace.forward_steps.append((n, g))
+        if a == 0:
+            trace.zero_indices.append(n)
+            if want is not None and len(trace.zero_indices) >= want:
                 break
-            continue
-        g = gcd(s - event + 1, abs(arg.eval_arg(event)))
-        if g <= 1:
-            raise EngineInvariantError(f"event detection found a unit step at n={event}")
-        prev = s - event + 1
-        n = event
-        a = prev - g
-        trace.large_steps.append((n, a - prev))
-        if a == 0 and record_zero(n):
-            break
     trace.final_index = n
     trace.final_value = a
     trace.iterations_used = n - config.start_index
-    trace.budget_exhausted = (
-        n >= limit and want is not None and len(trace.zero_indices) < want
-    )
+    trace.budget_exhausted = n >= limit and want is not None and len(trace.zero_indices) < want
     return trace
 
 
 def _step_until_event(config, trace, n, a, limit):
-    """Naive stepping fallback; returns (n, a, stop) after a gcd>1 step,
-    a zero, or the budget limit."""
+    """Naive stepping fallback; returns (n, a, stop) after a non-unit step, a
+    step from or to 0, or at the budget limit; stop says every requested zero
+    has been found."""
     arg = config.arg
-    want = config.stop_after_zeros
+    forward = config.mode == FORWARD_ADD
     while n < limit:
         n += 1
-        g = gcd(a, abs(arg.eval_arg(n)))
         prev = a
-        a = prev - g
-        if g > 1:
+        g = gcd(prev, abs(arg.eval_arg(n)))
+        a = prev + g if forward else abs(prev - g)
+        if forward and g != 1:
+            trace.forward_steps.append((n, g))
+        if abs(a - prev) > 1:
             trace.large_steps.append((n, a - prev))
-        if a == 0:
+        if a == 0 and not forward:
             trace.zero_indices.append(n)
-            if want is not None and len(trace.zero_indices) >= want:
-                return n, a, True
-            return n, a, False
-        if g > 1:
-            return n, a, False
-    return n, a, False
-
-
-def _run_forward(config: RunConfig) -> Trace:
-    trace = Trace()
-    arg = config.arg
-    a = config.initial
-    n = config.start_index
-    limit = config.start_index + config.budget
-    while n < limit:
-        n += 1
-        g = gcd(a, abs(arg.eval_arg(n)))
-        a += g
-        trace.forward_diffs.append(g)
-        if g > 1:
-            trace.large_steps.append((n, g))
-    trace.final_index = n
-    trace.final_value = a
-    trace.iterations_used = n - config.start_index
-    return trace
+        if g != 1 or not (prev and a):
+            break
+    want = config.stop_after_zeros
+    return n, a, want is not None and len(trace.zero_indices) >= want
 
 
 # ---------------------------------------------------------------------------
@@ -374,30 +336,14 @@ def _run_forward(config: RunConfig) -> Trace:
 def first_zero(config: RunConfig) -> int | None:
     """Least n > start_index with a(n) = 0, or None if the budget ran out."""
     guard = min(config.budget, config.initial + config.start_index + 1)
-    cfg = RunConfig(
-        initial=config.initial,
-        arg=config.arg,
-        mode=config.mode,
-        start_index=config.start_index,
-        stop_after_zeros=1,
-        budget=guard,
-    )
-    trace = run(cfg)
+    trace = run(replace(config, stop_after_zeros=1, budget=guard))
     return trace.zero_indices[0] if trace.zero_indices else None
 
 
 def zeros(config: RunConfig, count: int) -> list:
     if count < 1:
         raise ValueError("count must be >= 1")
-    cfg = RunConfig(
-        initial=config.initial,
-        arg=config.arg,
-        mode=config.mode,
-        start_index=config.start_index,
-        stop_after_zeros=count,
-        budget=config.budget,
-    )
-    return run(cfg).zero_indices
+    return run(replace(config, stop_after_zeros=count)).zero_indices
 
 
 @dataclass
@@ -410,22 +356,31 @@ class ForwardRecords:
 def forward_record_indices(config: RunConfig, budget: int | None = None) -> ForwardRecords:
     """Strict maxima of the forward difference sequence, plus the indices
     where a(n) = 2n+2 or a(n) = 2n+1 (the states from which the next
-    difference is a prime for these families)."""
+    difference is a prime for these families).
+
+    Read off the forward trace: between two non-unit steps a(i) = i + c for a
+    constant c, so the plateau holds at most one 2n+2 index (n = c - 2), one
+    2n+1 index (n = c - 1), and a record only at its first step, if no
+    difference so far was positive."""
     if config.mode != FORWARD_ADD:
         raise ValueError("forward_record_indices requires forward mode")
-    arg = config.arg
-    a = config.initial
-    n = config.start_index
-    limit = config.start_index + (budget if budget is not None else config.budget)
+    trace = run(config if budget is None else replace(config, budget=budget))
     records, row_flags, shev_flags = [], [], []
-    best = 0
-    while n < limit:
-        n += 1
-        g = gcd(a, abs(arg.eval_arg(n)))
-        a += g
-        if g > best:
-            best = g
-            records.append((n, g))
+    best, n, a = 0, config.start_index, config.initial
+    for event, d in trace.forward_steps + [(trace.final_index + 1, None)]:
+        c = a - n
+        if best == 0 and event > n + 1:
+            best = 1
+            records.append((n + 1, 1))
+        for i, flags in ((c - 2, row_flags), (c - 1, shev_flags)):
+            if n < i < event:
+                flags.append(i)
+        if d is None:
+            break
+        n, a = event, c + event - 1 + d
+        if d > best:
+            best = d
+            records.append((n, d))
         if a == 2 * n + 2:
             row_flags.append(n)
         if a == 2 * n + 1:

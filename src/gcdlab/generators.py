@@ -1,9 +1,9 @@
 """The gcd-argument families g(n) and their prime-claim maps.
 
 Each variant knows three things: how to evaluate g(n), which values are
-asserted prime when the recursion hits zero at index n (the claim map),
-and — when g is congruence-friendly — its per-residue-class polynomial
-form, which powers the engine's plateau-jump acceleration.
+asserted prime when the recursion hits zero at index n (the claim map), and
+its polynomial form (sel, polys) with g(n) = polys[sel(n)](n), where sel is an
+int period beta (n mod beta) or a callable, which powers the engine's jumps.
 """
 from __future__ import annotations
 
@@ -109,6 +109,39 @@ def floor_pi_times(n: int) -> int:
             f"pi*{n} is within 1e-6 of an integer at the stored precision"
         )
     return prod // _PI_DEN
+
+
+def _least_multiple_in(a: int, m: int, lo: int, hi: int) -> int | None:
+    """Least x >= 0 with lo <= a*x mod m <= hi, for 0 <= lo <= hi < m, or None.
+
+    Euclid-style: if no multiple of a lies in [lo, hi], x = ceil((lo + m*y)/a)
+    for the least y with (-m)*y mod a in [lo mod a, hi mod a].  Reflecting a
+    to m - a first keeps a <= m/2, so each recursion at least halves m."""
+    if lo == 0:
+        return 0
+    a %= m
+    if 2 * a > m:
+        return _least_multiple_in(m - a, m, m - hi, m - lo)
+    if a == 0:
+        return None
+    x = -(-lo // a)
+    if a * x <= hi:
+        return x
+    y = _least_multiple_in(-m % a, a, lo % a, hi % a)
+    return None if y is None else -(-(lo + m * y) // a)
+
+
+def first_imprecise(lo: int) -> int:
+    """Least j >= max(lo, 1) for which floor_pi_times(j) raises.
+
+    floor_pi_times(j) raises iff (_PI_NUM*j + _PI_GUARD - 1) mod _PI_DEN
+    <= 2*_PI_GUARD - 2, a window that _least_multiple_in finds exactly."""
+    lo = max(lo, 1)
+    width = 2 * _PI_GUARD - 2
+    b = (_PI_NUM * lo + _PI_GUARD - 1) % _PI_DEN
+    if b <= width:
+        return lo
+    return lo + _least_multiple_in(_PI_NUM, _PI_DEN, _PI_DEN - b, _PI_DEN - b + width)
 
 
 def _sorted_claims(values):
@@ -458,13 +491,23 @@ class BeattyTwin:
     """g(n) = n + r_n with r_n = 2(floor(pi n) - floor(pi (n-1)) - 3) in {0, 2}."""
 
     def eval_arg(self, n: int) -> int:
-        return n + 2 * (floor_pi_times(n) - floor_pi_times(n - 1) - 3)
+        return n + 2 * self.select(n)
+
+    @staticmethod
+    def select(n: int) -> int:
+        """r_n / 2: 1 where g(n) = n + 2, 0 where g(n) = n."""
+        return floor_pi_times(n) - floor_pi_times(n - 1) - 3
+
+    @staticmethod
+    def first_unsafe_index(n: int) -> int:
+        """Least i > n at which eval_arg(i) may raise BeattyPrecisionError."""
+        return n + 1 if n < 0 else max(first_imprecise(n), n + 1)
 
     def claim_values(self, n: int):
         return [n + 1, n + 3]
 
     def residue_polys(self):
-        return None  # not congruence-periodic: the engine steps it naively
+        return self.select, [[0, 1], [2, 1]]
 
     def spec_str(self) -> str:
         return "beatty"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcdlab import engine
+from gcdlab import engine, primality
 from gcdlab.engine import RunConfig
 from gcdlab.generators import (
     AffineMinus,
@@ -18,8 +18,10 @@ from gcdlab.generators import (
     QuadShift,
     RowlandIndex,
     ShevelevLinear,
+    ShiftedIndex,
     parse_spec,
 )
+from gcdlab.generators import BeattyPrecisionError
 
 
 def naive_backward(initial, arg, budget, mode="abs", start=1, want=None):
@@ -135,12 +137,166 @@ def test_first_zero_guard():
         assert z is not None and z <= initial + 2
 
 
-def test_beatty_runs_naive_path():
-    assert BeattyTwin().residue_polys() is None
-    z = engine.first_zero(
-        RunConfig(initial=98, arg=BeattyTwin(), mode=engine.SIGNED_BACKWARD)
+def naive_forward(initial, arg, budget, start=1):
+    """Reference forward addition: every difference, the large steps, the end."""
+    a, n = initial, start
+    diffs, steps = [], []
+    while n < start + budget:
+        n += 1
+        g = gcd(a, abs(arg.eval_arg(n)))
+        a += g
+        diffs.append(g)
+        if g > 1:
+            steps.append((n, g))
+    return diffs, steps, n, a
+
+
+def naive_forward_records(initial, arg, budget, start=1):
+    """Reference for forward_record_indices: one step at a time."""
+    a, n, best = initial, start, 0
+    records, row, shev = [], [], []
+    while n < start + budget:
+        n += 1
+        g = gcd(a, abs(arg.eval_arg(n)))
+        a += g
+        if g > best:
+            best = g
+            records.append((n, g))
+        if a == 2 * n + 2:
+            row.append(n)
+        if a == 2 * n + 1:
+            shev.append(n)
+    return records, row, shev
+
+
+def assert_backward_matches_naive(initial, arg, budget, mode, start, want):
+    cfg = RunConfig(
+        initial=initial, arg=arg, mode=mode, start_index=start, stop_after_zeros=want, budget=budget
     )
-    assert z is not None
+    if want is not None and initial == 0:
+        with pytest.raises(engine.NonterminatingZeroRequest):
+            engine.run(cfg)
+        return
+    tr = engine.run(cfg)
+    zs, steps, n, a = naive_backward(initial, arg, budget, mode, start, want)
+    assert (tr.zero_indices, tr.large_steps, tr.final_index, tr.final_value) == (zs, steps, n, a)
+    assert tr.iterations_used == n - start
+    assert tr.budget_exhausted == (n >= start + budget and want is not None and len(zs) < want)
+    assert tr.forward_diffs == []
+
+
+@given(
+    initial=st.integers(0, 3000),
+    budget=st.integers(1, 5000),
+    mode=st.sampled_from([engine.ABS_BACKWARD, engine.SIGNED_BACKWARD]),
+    start=st.integers(0, 3000),
+    want=st.none() | st.integers(1, 5),
+)
+@settings(max_examples=150, deadline=None)
+def test_beatty_jump_equals_naive(initial, budget, mode, start, want):
+    assert_backward_matches_naive(initial, BeattyTwin(), budget, mode, start, want)
+
+
+def test_beatty_first_zero():
+    cfg = RunConfig(initial=98, arg=BeattyTwin(), mode=engine.SIGNED_BACKWARD)
+    zs, _, _, _ = naive_backward(98, BeattyTwin(), 99, "signed", want=1)
+    assert engine.first_zero(cfg) == zs[0]
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except BeattyPrecisionError as exc:
+        return str(exc)
+
+
+def test_beatty_precision_error_where_naive_raises():
+    # pi * 364913 is within 1e-6 of an integer: the naive descent raises there
+    arg = BeattyTwin()
+    naive = _outcome(lambda: naive_backward(400_000, arg, 10**6, "signed"))
+    jump = _outcome(
+        lambda: engine.run(RunConfig(initial=400_000, arg=arg, mode=engine.SIGNED_BACKWARD, budget=10**6))
+    )
+    assert naive == jump == "pi*364913 is within 1e-6 of an integer at the stored precision"
+
+
+@given(
+    initial=st.integers(0, 3000),
+    budget=st.integers(1, 4000),
+    mode=st.sampled_from([engine.ABS_BACKWARD, engine.SIGNED_BACKWARD, engine.FORWARD_ADD]),
+    start=st.integers(364913 - 4000, 364913 + 2),
+)
+@settings(max_examples=80, deadline=None)
+def test_beatty_raises_only_where_naive_raises(initial, budget, mode, start):
+    arg = BeattyTwin()
+    cfg = RunConfig(initial=initial, arg=arg, mode=mode, start_index=start, budget=budget)
+    if mode == engine.FORWARD_ADD:
+        naive = _outcome(lambda: naive_forward(initial, arg, budget, start)[1:])
+        jump = _outcome(lambda: (lambda t: (t.large_steps, t.final_index, t.final_value))(engine.run(cfg)))
+    else:
+        naive = _outcome(lambda: naive_backward(initial, arg, budget, mode, start))
+        jump = _outcome(
+            lambda: (lambda t: (t.zero_indices, t.large_steps, t.final_index, t.final_value))(engine.run(cfg))
+        )
+    assert jump == (naive if isinstance(naive, str) else tuple(naive))
+
+
+def test_beatty_walk_through_imprecise_index():
+    # the event finder's walk reaches 364913, where g cannot be evaluated, but
+    # stepping meets an event and then a zero before it, and returns
+    for start, initial in [(364895, 151), (364896, 150), (364896, 153)]:
+        assert_backward_matches_naive(initial, BeattyTwin(), 2000, engine.SIGNED_BACKWARD, start, None)
+
+
+FORWARD_SPECS = [
+    RowlandIndex(),
+    ShevelevLinear(),
+    PeriodicAffine(m=1, offsets=(0, 2)),
+    PeriodicAffine(m=3, offsets=(-1, 4, 0)),
+    Polynomial(coeffs=(0, 1, 1)),
+    Polynomial(coeffs=(-6, 1)),
+    ShiftedIndex(),
+    BeattyTwin(),
+]
+
+
+@given(
+    spec=st.sampled_from(FORWARD_SPECS),
+    initial=st.integers(0, 3000),
+    budget=st.integers(1, 3000),
+    start=st.integers(0, 50),
+)
+@settings(max_examples=150, deadline=None)
+def test_forward_jump_equals_naive(spec, initial, budget, start):
+    cfg = RunConfig(initial=initial, arg=spec, mode=engine.FORWARD_ADD, start_index=start, budget=budget)
+    tr = engine.run(cfg)
+    diffs, steps, n, a = naive_forward(initial, spec, budget, start)
+    assert (tr.large_steps, tr.final_index, tr.final_value) == (steps, n, a)
+    assert len(tr.forward_diffs) == tr.iterations_used == budget
+    assert list(tr.forward_diffs) == diffs
+    assert tr.forward_diffs[: budget // 2] == diffs[: budget // 2]
+    assert tr.forward_diffs[-1] == diffs[-1]
+    assert tr.zero_indices == [] and not tr.budget_exhausted
+    fr = engine.forward_record_indices(cfg)
+    assert (fr.records, fr.rowland_flags, fr.shevelev_flags) == naive_forward_records(
+        initial, spec, budget, start
+    )
+
+
+def test_forward_zero_difference():
+    # g(1) = 0 and a(0) = 0, so the first difference is gcd(0, 0) = 0
+    cfg = RunConfig(initial=0, arg=ShiftedIndex(), mode=engine.FORWARD_ADD, start_index=0, budget=6)
+    tr = engine.run(cfg)
+    assert tr.forward_diffs == naive_forward(0, ShiftedIndex(), 6, start=0)[0] == [0, 1, 1, 1, 1, 1]
+    assert tr.forward_steps == [(1, 0)]
+
+
+def test_forward_memory_follows_events():
+    cfg = RunConfig(initial=7, arg=RowlandIndex(), mode=engine.FORWARD_ADD, budget=10**9)
+    tr = engine.run(cfg)
+    assert tr.final_index == 10**9 + 1 and len(tr.forward_diffs) == 10**9
+    assert len(tr.forward_steps) < 1000
+    assert all(primality.is_prime(d) for _, d in tr.large_steps)
 
 
 @given(
@@ -175,6 +331,16 @@ def test_jump_equals_naive_polynomial(coeffs, initial):
         n,
         a,
     )
+
+
+def test_zero_class_at_the_budget_limit():
+    # polys[0](x) == 0 on the plateau a(i) = 4 - i, whose class 0 first occurs
+    # at i = 4: the zero there, with the budget ending at it, is not an event
+    spec = PeriodicAffine(m=1, offsets=(0, 0, 0, -5))
+    for budget in (3, 4):
+        tr = engine.run(RunConfig(initial=3, arg=spec, budget=budget))
+        zs, steps, n, a = naive_backward(3, spec, budget)
+        assert (tr.zero_indices, tr.large_steps, tr.final_index, tr.final_value) == (zs, steps, n, a)
 
 
 def test_descent_invariant_sampled():

@@ -70,13 +70,13 @@ def test_spec_string_roundtrip(spec):
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.spec_str())
 def test_residue_polys_agree_with_eval(spec):
-    rp = spec.residue_polys()
-    if rp is None:
-        return
-    beta, polys = rp
-    assert len(polys) == beta
-    for n in range(1, 200):
-        assert G.poly_eval(polys[n % beta], n) == spec.eval_arg(n), n
+    sel, polys = spec.residue_polys()
+    if isinstance(sel, int):
+        assert len(polys) == sel
+        sel = sel.__rmod__
+    for n in range(1, 2000):
+        assert 0 <= sel(n) < len(polys)
+        assert G.poly_eval(polys[sel(n)], n) == spec.eval_arg(n), n
 
 
 def test_parse_spec_errors():
@@ -133,3 +133,36 @@ def test_factored_product_property():
     for n in range(1, 50):
         assert spec.eval_arg(n) == (n * n + 1) * (n * n + 3)
     assert spec.claim_values(3) == [17, 19]
+
+
+@given(
+    m=st.integers(1, 300),
+    a=st.integers(0, 900),
+    bounds=st.tuples(st.integers(0, 299), st.integers(0, 299)),
+)
+@settings(max_examples=300, deadline=None)
+def test_least_multiple_in_matches_brute_force(m, a, bounds):
+    lo, hi = sorted(b % m for b in bounds)
+    want = next((x for x in range(m) if lo <= a * x % m <= hi), None)
+    assert G._least_multiple_in(a, m, lo, hi) == want
+
+
+def _imprecise(j):
+    try:
+        G.floor_pi_times(j)
+    except G.BeattyPrecisionError:
+        return True
+    return False
+
+
+def test_first_imprecise_matches_floor_pi_times():
+    bad = [364913, 1360120, 1725033]
+    assert all(_imprecise(j) for j in bad)
+    for lo in [-5, 0, 1, 364000, 364912, 364913, 364914, 1360120, 1360121, 1725033]:
+        assert G.first_imprecise(lo) == next(j for j in bad if j >= max(lo, 1))
+    # nothing else raises in windows around them
+    for j0 in bad:
+        assert [j for j in range(j0 - 3000, j0 + 3000) if _imprecise(j)] == [j0]
+    far = G.first_imprecise(10**12)
+    assert far >= 10**12 and _imprecise(far)
+    assert not any(_imprecise(j) for j in range(10**12, far))
