@@ -15,20 +15,22 @@ exceeds _FACTOR_LIMIT, when sel raises BeattyPrecisionError, or when it reaches
 the family's first_unsafe_index (where evaluating g raises): the run then
 raises exactly where, and only where, one-step-at-a-time stepping would.
 
-The factorizations are done in-house: values below 2^20 are read off a
-smallest-prime-factor (SPF) table built by one vectorised sieve; larger ones
-are trial-divided by the primes below 2^12, and the cofactors left over are
-split by Brent's variant of Pollard rho and tested with `primality.is_prime`.
+The factorizations are done in-house: values below 2^20 are read off
+`primality._spf_table`, the smallest-prime-factor (SPF) table that is the
+package's one sieve (it also answers `is_prime` below 2^20 and seeds the
+segmented sieve of `primality.prime_flags`); larger ones are trial-divided
+by the primes below 2^12, and the cofactors left over are split by Brent's
+variant of Pollard rho and tested with `primality.is_prime`.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cache, lru_cache
-from math import gcd, isqrt
+from math import gcd
 
 from .generators import BeattyPrecisionError, poly_eval
-from .primality import is_prime
+from .primality import _SMALL_SIEVE_LIMIT as _SPF_LIMIT, _spf_table, is_prime
 
 ABS_BACKWARD = "abs"
 SIGNED_BACKWARD = "signed"
@@ -38,7 +40,6 @@ DEFAULT_BUDGET = 10_000_000
 
 # Above this, factoring the class polynomial value is slower than stepping.
 _FACTOR_LIMIT = 10**34
-_SPF_LIMIT = 1 << 20
 # Large factoring inputs are first trial-divided by the primes below this.
 _TRIAL_LIMIT = 1 << 12
 # Brent rho: steps whose x - y are multiplied together before one gcd.
@@ -110,26 +111,6 @@ class Trace:
             return []
         first = self.final_index - self.iterations_used + 1
         return ForwardDiffs(range(first, self.final_index + 1), dict(self.forward_steps))
-
-
-_spf = None
-
-
-def _spf_table():
-    """Smallest prime factor of every index below _SPF_LIMIT (t[1] = 1)."""
-    global _spf
-    if _spf is None:
-        import numpy as np
-
-        t = np.zeros(_SPF_LIMIT, dtype=np.int32)
-        for p in range(2, isqrt(_SPF_LIMIT - 1) + 1):
-            if t[p] == 0:
-                multiples = t[p * p :: p]
-                multiples[multiples == 0] = p
-        unset = np.flatnonzero(t == 0)[1:]  # primes, and 1; index 0 stays 0
-        t[unset] = unset
-        _spf = t
-    return _spf
 
 
 def _spf_factors(q: int) -> list:

@@ -149,36 +149,35 @@ def table(family: str, rows: int | None = None, policy=primality.DEFAULT_POLICY,
     """Reproduce a reference table by id.
 
     ids: appendix2 (m), appendix3 (start), appendix4 (m), appendix5 (p),
-    appendix6 (key), c1, c3 (p), c3bis (m), c3ter, c4 (b, c), c5/c10 (n_hi),
-    c6/c7/c9 (spec, initial).
+    appendix6 (key), c3 (p), c3ter, c4 (b, c), c5/c10 (n_hi), c6/c7/c9 (spec,
+    initial).  Aliases: c1 = appendix1, c2 = appendix2, and c3bis = appendix4
+    with 3 rows by default.
     """
-    if family == "appendix2":
+    if family in ("appendix2", "c2"):
         m = int(params.get("m", 5))
         return claims_report(AffineMinus(m=m), 1, rows or 6, policy=policy)
     if family == "appendix3":
         start = int(params.get("start", 10))
         return claims_report(PrimePowerMinusOne(p=2), start, rows or 3, policy=policy)
-    if family == "appendix4":
+    if family in ("appendix4", "c3bis"):
         m = int(params.get("m", 2))
-        return claims_report(QuadShift(m=m), 4 * m * m, rows or 2, policy=policy)
+        rows = rows or (3 if family == "c3bis" else 2)
+        return claims_report(QuadShift(m=m), 4 * m * m, rows, policy=policy)
     if family == "appendix5":
         p = int(params.get("p", 2))
         return claims_report(PowerMinus(b=p, c=2), p, rows or 3, policy=policy)
     if family == "appendix6":
         key = params.get("key", "beta2-1")
+        if key not in APPENDIX6_TABLES:
+            known = ", ".join(APPENDIX6_TABLES)
+            raise ValueError(f"unknown appendix6 key {key!r}; known keys: {known}")
         spec, initial = APPENDIX6_TABLES[key]
         return claims_report(spec, initial, rows or 8, policy=policy)
     if family in ("appendix1", "c1"):
         return claims_report(AffineMinus(m=1), 1, rows or 10, policy=policy)
-    if family == "c2":
-        m = int(params.get("m", 5))
-        return claims_report(AffineMinus(m=m), 1, rows or 6, policy=policy)
     if family == "c3":
         p = int(params.get("p", 2))
         return claims_report(PrimePowerMinusOne(p=p), 1, rows or 3, policy=policy)
-    if family == "c3bis":
-        m = int(params.get("m", 2))
-        return claims_report(QuadShift(m=m), 4 * m * m, rows or 3, policy=policy)
     if family == "c3ter":
         # the triplet table starts its count at index 0
         return claims_report(TripletProduct(), 4, rows or 3, start_index=0, policy=policy)
@@ -188,6 +187,9 @@ def table(family: str, rows: int | None = None, policy=primality.DEFAULT_POLICY,
         initial = int(params.get("initial", b))
         return claims_report(PowerMinus(b=b, c=c), initial, rows or 3, policy=policy)
     if family in ("c6", "c7", "c9"):
+        for name in ("spec", "initial"):
+            if name not in params:
+                raise ValueError(f"table {family} requires --{name}")
         spec = parse_spec(params["spec"])
         initial = int(params["initial"])
         return claims_report(spec, initial, rows or 3, policy=policy)
@@ -278,6 +280,23 @@ _SCAN_FAMILIES = {
 }
 
 
+def _spans(lo: int, hi: int, workers: int) -> list:
+    """lo..hi cut into consecutive (first, last) spans, about eight per worker."""
+    size = max(1, (hi - lo + 1) // (max(1, workers) * 8))
+    return [(a, min(a + size - 1, hi)) for a in range(lo, hi + 1, size)]
+
+
+def _pool_map(fn, jobs: list, workers: int) -> list:
+    """The lists fn returns for the jobs, joined in job order; in a pool of
+    `workers` processes when workers > 1."""
+    if workers > 1:
+        with Pool(workers) as pool:
+            parts = pool.map(fn, jobs)
+    else:
+        parts = map(fn, jobs)
+    return [x for part in parts for x in part]
+
+
 def _scan_chunk(args):
     family, lo, hi = args
     make_spec, offset, claims_at = _SCAN_FAMILIES[family]
@@ -298,17 +317,8 @@ def scan_threshold(family: str, n_hi: int, workers: int = 1) -> ThresholdScanRep
     if family not in _SCAN_FAMILIES:
         raise ValueError(f"unknown scan family {family!r}")
     n_lo = 2
-    if workers <= 1:
-        fails = _scan_chunk((family, n_lo, n_hi))
-    else:
-        chunk = max(1, (n_hi - n_lo + 1) // (workers * 8))
-        jobs = [
-            (family, lo, min(lo + chunk - 1, n_hi))
-            for lo in range(n_lo, n_hi + 1, chunk)
-        ]
-        with Pool(workers) as pool:
-            fails = [n for part in pool.map(_scan_chunk, jobs) for n in part]
-        fails.sort()
+    jobs = [(family, lo, hi) for lo, hi in _spans(n_lo, n_hi, workers)]
+    fails = _pool_map(_scan_chunk, jobs, workers)
     return ThresholdScanReport(
         family=family,
         n_lo=n_lo,
@@ -379,14 +389,8 @@ def _upsilon_chunk(args):
 
 def upsilon(n_hi: int, b: int = 2, c: int = 2, workers: int = 1):
     """Prefix means of the first-zero prime indicator for b*n^c - 1 runs."""
-    if workers <= 1:
-        hits = _upsilon_chunk((b, c, 1, n_hi))
-    else:
-        chunk = max(1, n_hi // (workers * 8))
-        jobs = [(b, c, lo, min(lo + chunk - 1, n_hi)) for lo in range(1, n_hi + 1, chunk)]
-        with Pool(workers) as pool:
-            hits = [h for part in pool.map(_upsilon_chunk, jobs) for h in part]
-    return _prefix_means(hits)
+    jobs = [(b, c, lo, hi) for lo, hi in _spans(1, n_hi, workers)]
+    return _prefix_means(_pool_map(_upsilon_chunk, jobs, workers))
 
 
 def _prefix_means(hits):
@@ -411,14 +415,7 @@ def _upsilon_twin_chunk(args):
 
 def upsilon_twin(n_hi: int, workers: int = 1):
     """Prefix means of the twin-pair indicator for 2n^2 +/- 1 runs from a(0)=k."""
-    if workers <= 1:
-        hits = _upsilon_twin_chunk((1, n_hi))
-    else:
-        chunk = max(1, n_hi // (workers * 8))
-        jobs = [(lo, min(lo + chunk - 1, n_hi)) for lo in range(1, n_hi + 1, chunk)]
-        with Pool(workers) as pool:
-            hits = [h for part in pool.map(_upsilon_twin_chunk, jobs) for h in part]
-    return _prefix_means(hits)
+    return _prefix_means(_pool_map(_upsilon_twin_chunk, _spans(1, n_hi, workers), workers))
 
 
 def v_sequence(count: int, policy=primality.DEFAULT_POLICY):
@@ -459,46 +456,12 @@ def goldbach_constant_series(n_hi: int):
 # Legendre variation
 
 
-def _prime_flags(lo: int, hi: int):
-    """numpy bool array for primality of lo..hi (inclusive)."""
-    import numpy as np
-
-    size = hi - lo + 1
-    flags = np.ones(size, dtype=bool)
-    if lo <= 1:
-        flags[: min(2 - lo, size)] = False
-    for p in _base_primes(int(math.isqrt(hi))):
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start <= hi:
-            flags[start - lo :: p] = False
-    return flags
-
-
-_base_cache = {}
-
-
-def _base_primes(limit: int):
-    import numpy as np
-
-    cached = _base_cache.get("primes")
-    if cached is None or _base_cache["limit"] < limit:
-        sieve = np.ones(limit + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, int(math.isqrt(limit)) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-        _base_cache["primes"] = np.flatnonzero(sieve)
-        _base_cache["limit"] = limit
-        cached = _base_cache["primes"]
-    return [int(p) for p in cached if p <= limit]
-
-
 def legendre_count(N: int) -> int:
     """Number of k in [2, 2N] with N^2+k+1 and (N+1)^2-k simultaneously prime."""
     if N < 2:
         raise ValueError("N must be >= 2")
     lo, hi = N * N + 1, (N + 1) * (N + 1)
-    flags = _prime_flags(lo, hi)
+    flags = primality.prime_flags(lo, hi)
     count = 0
     for k in range(2, 2 * N + 1):
         if flags[N * N + k + 1 - lo] and flags[(N + 1) ** 2 - k - lo]:
@@ -515,7 +478,7 @@ def _legendre_chunk(args):
 
     lo_n, hi_n = args
     lo, hi = lo_n * lo_n + 1, (hi_n + 1) * (hi_n + 1)
-    flags = _prime_flags(lo, hi)
+    flags = primality.prime_flags(lo, hi)
     out = []
     for N in range(lo_n, hi_n + 1):
         base = N * N - lo
@@ -526,15 +489,10 @@ def _legendre_chunk(args):
 
 
 def legendre_series(n_hi: int, n_lo: int = 2, workers: int = 1):
-    """(N, qualifying-k count) for N = n_lo..n_hi via a segmented sieve."""
-    chunk = 256
-    jobs = [(lo, min(lo + chunk - 1, n_hi)) for lo in range(n_lo, n_hi + 1, chunk)]
-    if workers <= 1:
-        parts = [_legendre_chunk(j) for j in jobs]
-    else:
-        with Pool(workers) as pool:
-            parts = pool.map(_legendre_chunk, jobs)
-    return [row for part in parts for row in part]
+    """(N, qualifying-k count) for N = n_lo..n_hi via a segmented sieve; 256 N
+    per job, whatever the worker count, bounds each job's sieve window."""
+    jobs = [(lo, min(lo + 255, n_hi)) for lo in range(n_lo, n_hi + 1, 256)]
+    return _pool_map(_legendre_chunk, jobs, workers)
 
 
 # ---------------------------------------------------------------------------

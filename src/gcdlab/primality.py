@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 PRIME = "prime"
 PROBABLE_PRIME = "probable-prime"
@@ -67,21 +68,45 @@ _WITNESS_TIERS = (
 
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_sieve: bytearray | None = None
+_spf = None
 
 
-def _small_sieve() -> bytearray:
-    """Lazy 0/1 primality table below _SMALL_SIEVE_LIMIT (read-only once built)."""
-    global _sieve
-    if _sieve is None:
-        n = _SMALL_SIEVE_LIMIT
-        s = bytearray([1]) * n
-        s[0] = s[1] = 0
-        for p in range(2, int(n**0.5) + 1):
-            if s[p]:
-                s[p * p :: p] = bytearray(len(range(p * p, n, p)))
-        _sieve = s
-    return _sieve
+def _spf_table():
+    """Smallest prime factor of every index below _SMALL_SIEVE_LIMIT (t[1] = 1).
+
+    The package's one sieve: `is_prime` reads small verdicts off it, the
+    engine factors small values with it, and `prime_flags` slices it."""
+    global _spf
+    if _spf is None:
+        import numpy as np
+
+        t = np.zeros(_SMALL_SIEVE_LIMIT, dtype=np.int32)
+        for p in range(2, isqrt(_SMALL_SIEVE_LIMIT - 1) + 1):
+            if t[p] == 0:
+                multiples = t[p * p :: p]
+                multiples[multiples == 0] = p
+        unset = np.flatnonzero(t == 0)[1:]  # primes, and 1; index 0 stays 0
+        t[unset] = unset
+        _spf = t
+    return _spf
+
+
+def prime_flags(lo: int, hi: int):
+    """numpy bool array whose entry i says whether lo + i is prime, for
+    0 <= lo <= lo + i <= hi: a slice of the SPF table below
+    _SMALL_SIEVE_LIMIT, a segmented sieve above it."""
+    import numpy as np
+
+    if hi < _SMALL_SIEVE_LIMIT:
+        flags = _spf_table()[lo : hi + 1] == np.arange(lo, hi + 1)
+    else:
+        flags = np.ones(hi - lo + 1, dtype=bool)
+        for p in np.flatnonzero(prime_flags(0, isqrt(hi))).tolist():
+            start = max(p * p, -(-lo // p) * p)
+            flags[start - lo :: p] = False
+    # 0 and 1 are not prime, though t[0] = 0 and t[1] = 1 equal their index
+    flags[: max(0, 2 - lo)] = False
+    return flags
 
 
 def _strong_test(n: int, base: int, d: int, s: int) -> bool:
@@ -111,7 +136,7 @@ def is_prime(n: int, policy: PrimalityPolicy = DEFAULT_POLICY) -> PrimalityVerdi
     if n < 2:
         return PrimalityVerdict(COMPOSITE)
     if n < _SMALL_SIEVE_LIMIT:
-        return PrimalityVerdict(PRIME if _small_sieve()[n] else COMPOSITE)
+        return PrimalityVerdict(PRIME if _spf_table().item(n) == n else COMPOSITE)
     for p in _TRIAL_PRIMES:
         if n % p == 0:
             return PrimalityVerdict(COMPOSITE if n != p else PRIME)

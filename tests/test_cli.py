@@ -167,3 +167,25 @@ def test_cli_runs_without_sympy(capsys):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
+
+
+def test_beatty_precision_error_exit_2(capsys):
+    argv = ["run", "--spec", "beatty", "--initial", "400000", "--mode", "signed"]
+    code = cli.dispatch(argv + ["--budget", "1000000"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("gcdlab: pi*364913 is within 1e-6")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_table_missing_parameter_named(capsys):
+    code = cli.dispatch(["table", "c6", "--initial", "3"])
+    assert code == 2
+    assert capsys.readouterr().err == "gcdlab: table c6 requires --spec\n"
+
+
+def test_table_unknown_key_lists_known_keys(capsys):
+    code = cli.dispatch(["table", "appendix6", "--key", "nope"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "'nope'" in err and "beta2-1" in err and "beta6-1" in err

@@ -197,3 +197,17 @@ def test_conj7_f_and_L_linear_is_certain():
 def test_conj7_f_and_L_quadratic_below_one():
     _, L = conj7_f_and_L("poly:p=2x^2-1", 800)
     assert 0.7 <= L <= 0.95
+
+
+def test_legendre_count_across_the_sieve_limit():
+    # the sieve window (N^2, (N+1)^2] reaches 2^20 at N = 1023
+    def direct(N):
+        return sum(
+            1
+            for k in range(2, 2 * N + 1)
+            if primality.is_prime(N * N + k + 1) and primality.is_prime((N + 1) ** 2 - k)
+        )
+
+    counts = {N: direct(N) for N in range(1020, 1031)}
+    assert {N: legendre_count(N) for N in counts} == counts
+    assert dict(legendre_series(1030, n_lo=1020)) == counts

@@ -80,3 +80,30 @@ def test_matches_sympy_random(n):
     import sympy
 
     assert bool(is_prime(n)) == sympy.isprime(n)
+
+
+def test_sieve_region_whole_range_against_sympy():
+    import sympy
+
+    primes = set(sympy.primerange(primality._SMALL_SIEVE_LIMIT))
+    for n in range(primality._SMALL_SIEVE_LIMIT):
+        assert bool(is_prime(n)) == (n in primes), n
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (0, 0),
+        (0, 1),
+        (1, 1),
+        (0, 3000),
+        (1, 3000),
+        ((1 << 20) - 1500, (1 << 20) + 1500),
+        (10**12 - 1500, 10**12 + 1500),
+    ],
+)
+def test_prime_flags_against_sympy(lo, hi):
+    import sympy
+
+    flags = primality.prime_flags(lo, hi)
+    assert flags.tolist() == [sympy.isprime(n) for n in range(lo, hi + 1)]
