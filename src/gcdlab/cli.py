@@ -229,7 +229,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    report = experiments.scan_threshold(args.family, args.n_hi, workers=_workers(args))
+    report = experiments.scan_threshold(
+        args.family, args.n_hi, workers=_workers(args), policy=_policy(args)
+    )
     if args.format == "json":
         _emit(
             args,
@@ -279,9 +281,9 @@ def _cmd_stats(args) -> int:
             _emit(args, f"{float(est)}\n")
         return EXIT_OK
     if args.kind == "upsilon":
-        series = experiments.upsilon(args.n_hi, args.b, args.c, workers=workers)
+        series = experiments.upsilon(args.n_hi, args.b, args.c, workers=workers, policy=policy)
     elif args.kind == "upsilon-twin":
-        series = experiments.upsilon_twin(args.n_hi, workers=workers)
+        series = experiments.upsilon_twin(args.n_hi, workers=workers, policy=policy)
     elif args.kind == "upsilon-v":
         series = experiments.upsilon_v(args.count, policy=policy)
     elif args.kind == "goldbach-constant":

@@ -7,8 +7,14 @@ prime p divides both a(i - 1) and g(i); since p | a(i - 1) means i = x (mod p),
 with x = s + 1 backward and x = 1 - c forward, and g(i) = polys[sel(i)](i), that
 is where p divides polys[sel(i)](x).  `residue_polys()` gives (sel, polys): an
 int period beta (sel(i) = i mod beta) or a callable such as BeattyTwin's digit.
+It is each family's only statement of g; `eval_arg` is derived from it.
 So a run jumps from event to event on the prime factors of a few polynomial
 values, turning ~10^8-step tables into a few thousand factorizations.
+
+The step at an event needs no evaluation of g either: a(i - 1) = +-(x - i) and
+P(i) = P(x) (mod x - i) for an integer polynomial P, so the step is
+gcd(a(i - 1), polys[sel(i)](x)), from the value the event finder has just
+factored.
 
 A plateau is stepped naively instead when a = 0, when a polynomial value
 exceeds _FACTOR_LIMIT, when sel raises BeattyPrecisionError, or when it reaches
@@ -29,7 +35,7 @@ from dataclasses import dataclass, field, replace
 from functools import cache, lru_cache
 from math import gcd
 
-from .generators import BeattyPrecisionError, poly_eval
+from .generators import BeattyPrecisionError, eval_form, poly_eval
 from .primality import _SMALL_SIEVE_LIMIT as _SPF_LIMIT, _spf_table, is_prime
 
 ABS_BACKWARD = "abs"
@@ -198,13 +204,13 @@ def _prime_factors(q: int) -> tuple:
     return tuple(sorted(found))
 
 
-def _next_event(n: int, x: int, hi: int, sel, polys) -> int | None:
-    """Least i in (n, hi] at which some prime p divides polys[sel(i)](x) and
-    i = x (mod p), or None; where polys[k](x) == 0, the first i with sel(i) == k.
-    Each p's candidates are walked upwards until sel(i) matches; for an int
-    period beta, beta steps cover every class there is."""
+def _next_event(n: int, x: int, hi: int, sel, polys) -> tuple | None:
+    """(i, q) for the least i in (n, hi] at which some prime p divides
+    q = |polys[sel(i)](x)| and i = x (mod p), or None; where q == 0, i is the
+    first index with that class.  Each p's candidates are walked upwards until
+    sel(i) matches; for an int period beta, beta steps cover every class."""
     beta = sel if isinstance(sel, int) else 0
-    best = hi + 1
+    best, value = hi + 1, None
     for k, poly in enumerate(polys):
         q = abs(poly_eval(poly, x))
         if q == 1:
@@ -222,8 +228,8 @@ def _next_event(n: int, x: int, hi: int, sel, polys) -> int | None:
                 while i < best and sel(i) != k:
                     i += p
             if i < best:
-                best = i
-    return best if best <= hi else None
+                best, value = i, q
+    return (best, value) if best <= hi else None
 
 
 def run(config: RunConfig) -> Trace:
@@ -256,7 +262,7 @@ def run(config: RunConfig) -> Trace:
             try:
                 # forward from a = 1 the first step is a unit step whatever g is
                 event = _next_event(n + (forward and a == 1), x, hi, sel, polys)
-                end = top if event is None else event
+                end = top if event is None else event[0]
             except BeattyPrecisionError:
                 pass
         if end is None or unsafe <= end:
@@ -268,11 +274,13 @@ def run(config: RunConfig) -> Trace:
             a += step * (end - n)
             n = end
         else:
-            prev = a + step * (event - 1 - n)
-            g = gcd(prev, abs(arg.eval_arg(event)))
+            # a(end - 1) = +-(x - end), so its gcd with g(end) is its gcd with
+            # the class value at x that the event finder factored
+            prev = a + step * (end - 1 - n)
+            g = gcd(prev, event[1])
             if g <= 1:
-                raise EngineInvariantError(f"event detection found a unit step at n={event}")
-            n, a = event, prev + step * g
+                raise EngineInvariantError(f"event detection found a unit step at n={end}")
+            n, a = end, prev + step * g
             trace.large_steps.append((n, a - prev))
             if forward:
                 trace.forward_steps.append((n, g))
@@ -291,12 +299,13 @@ def _step_until_event(config, trace, n, a, limit):
     """Naive stepping fallback; returns (n, a, stop) after a non-unit step, a
     step from or to 0, or at the budget limit; stop says every requested zero
     has been found."""
-    arg = config.arg
+    # the form is built once per call: a plateau past _FACTOR_LIMIT steps here
+    form = config.arg.residue_polys()
     forward = config.mode == FORWARD_ADD
     while n < limit:
         n += 1
         prev = a
-        g = gcd(prev, abs(arg.eval_arg(n)))
+        g = gcd(prev, abs(eval_form(form, n)))
         a = prev + g if forward else abs(prev - g)
         if forward and g != 1:
             trace.forward_steps.append((n, g))

@@ -108,14 +108,14 @@ def claims_report(
         budget=budget,
         budget_exhausted=trace.budget_exhausted,
     )
-    for z in trace.zero_indices:
-        claims = spec.claim_values(z)
-        deltas = [primality.delta(c, policy) if c >= 2 else 0 for c in claims]
-        ap = 1
-        for d in deltas:
-            ap &= d
-        report.rows.append((z, claims, deltas, ap))
+    report.rows = [_claim_row(z, spec.claim_values(z), policy) for z in trace.zero_indices]
     return report
+
+
+def _claim_row(index: int, claims, policy) -> tuple:
+    """(index, claims, deltas, all_prime): one row of an ExperimentReport."""
+    deltas = [primality.delta(c, policy) for c in claims]
+    return index, claims, deltas, int(all(deltas))
 
 
 def appendix1(count: int = 20, policy=primality.DEFAULT_POLICY):
@@ -198,25 +198,17 @@ def table(family: str, rows: int | None = None, policy=primality.DEFAULT_POLICY,
         n_hi = int(params.get("n_hi", (rows or 20) + 1))
         rep = ExperimentReport(spec=family, initial=-1, budget=TABLE_BUDGET)
         for n in range(2, n_hi + 1):
-            g, claims, ap = goldbach_g(n, variant, policy=policy)
-            deltas = [primality.delta(c, policy) for c in claims]
-            rep.rows.append((g, claims, deltas, ap))
+            g, claims, _ = goldbach_g(n, variant, policy=policy)
+            rep.rows.append(_claim_row(g, claims, policy))
         return rep
     if family == "c8":
         variant = params.get("variant", "prime")
         n_hi = int(params.get("n_hi", (rows or 20) + 3))
-        spec_cls = ShiftedIndex if variant == "prime" else AlternatingLinear
+        spec = ShiftedIndex() if variant == "prime" else AlternatingLinear()
         rep = ExperimentReport(spec=f"c8-{variant}", initial=-1, budget=TABLE_BUDGET)
         for n in range(4, n_hi + 1):
-            f = engine.first_zero(
-                RunConfig(initial=n - 2, arg=spec_cls(), mode=SIGNED_BACKWARD)
-            )
-            claims = spec_cls().claim_values(f)
-            deltas = [primality.delta(c, policy) for c in claims]
-            ap = 1
-            for d in deltas:
-                ap &= d
-            rep.rows.append((f, claims, deltas, ap))
+            f = engine.first_zero(RunConfig(initial=n - 2, arg=spec, mode=SIGNED_BACKWARD))
+            rep.rows.append(_claim_row(f, spec.claim_values(f), policy))
         return rep
     raise ValueError(f"unknown table family {family!r}")
 
@@ -260,23 +252,16 @@ def _first_zero_from(spec, initial: int, start_index: int = 1) -> int | None:
 # ---------------------------------------------------------------------------
 # threshold scans
 
-# family -> (make spec, initial offset, claims at the first zero f)
+# family -> (make spec, initial offset); N fails where the spec's claim at
+# the first zero is not all prime
 _SCAN_FAMILIES = {
     # with initial N-1 the twin scan's largest failure is 97
-    "twin": (lambda N: AlternatingLinear(), -1, lambda N, f: [f, f + 2]),
-    "triplet": (
-        lambda N: PeriodicAffine(m=1, offsets=(2, 6, 0)),
-        -6,
-        lambda N, f: [f + 1, f + 3, f + 7],
-    ),
-    "beatty": (lambda N: BeattyTwin(), -2, lambda N, f: [f + 1, f + 3]),
+    "twin": (lambda N: AlternatingLinear(), -1),
+    "triplet": (lambda N: PeriodicAffine(m=1, offsets=(2, 6, 0)), -6),
+    "beatty": (lambda N: BeattyTwin(), -2),
     # the alternating Goldbach scan uses swapped parity roles and initial
     # N-3; its largest failure is then 2207
-    "goldbach": (
-        lambda N: GoldbachAlt(N=N, flip=True),
-        -3,
-        lambda N, f: [f + 1, 2 * N - f - 1],
-    ),
+    "goldbach": (lambda N: GoldbachAlt(N=N, flip=True), -3),
 }
 
 
@@ -298,26 +283,28 @@ def _pool_map(fn, jobs: list, workers: int) -> list:
 
 
 def _scan_chunk(args):
-    family, lo, hi = args
-    make_spec, offset, claims_at = _SCAN_FAMILIES[family]
-    policy = primality.DEFAULT_POLICY
+    family, lo, hi, policy = args
+    make_spec, offset = _SCAN_FAMILIES[family]
     fails = []
     for N in range(lo, hi + 1):
         initial = N + offset
         if initial < 0:
             continue
-        f = _first_zero_from(make_spec(N), initial)
-        if not primality.all_prime(claims_at(N, f), policy):
+        spec = make_spec(N)
+        f = _first_zero_from(spec, initial)
+        if not primality.all_prime(spec.claim_values(f), policy):
             fails.append(N)
     return fails
 
 
-def scan_threshold(family: str, n_hi: int, workers: int = 1) -> ThresholdScanReport:
+def scan_threshold(
+    family: str, n_hi: int, workers: int = 1, policy=primality.DEFAULT_POLICY
+) -> ThresholdScanReport:
     """Scan N = 2..n_hi and report every N whose first-zero claim fails."""
     if family not in _SCAN_FAMILIES:
         raise ValueError(f"unknown scan family {family!r}")
     n_lo = 2
-    jobs = [(family, lo, hi) for lo, hi in _spans(n_lo, n_hi, workers)]
+    jobs = [(family, lo, hi, policy) for lo, hi in _spans(n_lo, n_hi, workers)]
     fails = _pool_map(_scan_chunk, jobs, workers)
     return ThresholdScanReport(
         family=family,
@@ -377,19 +364,14 @@ def conj8_property_check(N: int, variant: str = "prime", policy=primality.DEFAUL
 
 
 def _upsilon_chunk(args):
-    b, c, lo, hi = args
-    spec = PowerMinus(b=b, c=c)
-    policy = primality.DEFAULT_POLICY
-    out = []
-    for k in range(lo, hi + 1):
-        r = _first_zero_from(spec, k)
-        out.append(primality.delta(b * (r + 1) ** c - 1, policy))
-    return out
+    spec, lo, hi, policy = args
+    claims = (spec.claim_values(_first_zero_from(spec, k)) for k in range(lo, hi + 1))
+    return [primality.all_prime(c, policy) for c in claims]
 
 
-def upsilon(n_hi: int, b: int = 2, c: int = 2, workers: int = 1):
+def upsilon(n_hi: int, b: int = 2, c: int = 2, workers: int = 1, policy=primality.DEFAULT_POLICY):
     """Prefix means of the first-zero prime indicator for b*n^c - 1 runs."""
-    jobs = [(b, c, lo, hi) for lo, hi in _spans(1, n_hi, workers)]
+    jobs = [(PowerMinus(b=b, c=c), lo, hi, policy) for lo, hi in _spans(1, n_hi, workers)]
     return _prefix_means(_pool_map(_upsilon_chunk, jobs, workers))
 
 
@@ -403,29 +385,30 @@ def _prefix_means(hits):
 
 
 def _twin_hit(initial: int, policy) -> int:
-    r = _first_zero_from(AlternatingQuad(), initial, start_index=0)
-    base = 2 * (r + 1) ** 2
-    return primality.all_prime([base - 1, base + 1], policy)
+    spec = AlternatingQuad()
+    r = _first_zero_from(spec, initial, start_index=0)
+    return primality.all_prime(spec.claim_values(r), policy)
 
 
 def _upsilon_twin_chunk(args):
-    lo, hi = args
-    return [_twin_hit(k, primality.DEFAULT_POLICY) for k in range(lo, hi + 1)]
+    lo, hi, policy = args
+    return [_twin_hit(k, policy) for k in range(lo, hi + 1)]
 
 
-def upsilon_twin(n_hi: int, workers: int = 1):
+def upsilon_twin(n_hi: int, workers: int = 1, policy=primality.DEFAULT_POLICY):
     """Prefix means of the twin-pair indicator for 2n^2 +/- 1 runs from a(0)=k."""
-    return _prefix_means(_pool_map(_upsilon_twin_chunk, _spans(1, n_hi, workers), workers))
+    jobs = [(lo, hi, policy) for lo, hi in _spans(1, n_hi, workers)]
+    return _prefix_means(_pool_map(_upsilon_twin_chunk, jobs, workers))
 
 
 def v_sequence(count: int, policy=primality.DEFAULT_POLICY):
-    """First `count` N with 2N^2 - 1 and 2N^2 + 1 both prime."""
+    """First `count` N with 2N^2 - 1 and 2N^2 + 1 both prime (the alt-quad
+    claim at index N - 1)."""
     out = []
     n = 0
     while len(out) < count:
         n += 1
-        base = 2 * n * n
-        if primality.all_prime([base - 1, base + 1], policy):
+        if primality.all_prime(AlternatingQuad().claim_values(n - 1), policy):
             out.append(n)
     return out
 

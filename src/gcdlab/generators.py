@@ -1,9 +1,12 @@
 """The gcd-argument families g(n) and their prime-claim maps.
 
-Each variant knows three things: how to evaluate g(n), which values are
-asserted prime when the recursion hits zero at index n (the claim map), and
-its polynomial form (sel, polys) with g(n) = polys[sel(n)](n), where sel is an
-int period beta (n mod beta) or a callable, which powers the engine's jumps.
+Each variant states two things: its polynomial form residue_polys() =
+(sel, polys) with g(n) = polys[sel(n)](n), where sel is an int period beta
+(n mod beta) or a callable, and which values are asserted prime when the
+recursion hits zero at index n (the claim map, claim_values).  The form is
+the only definition of g: the engine's jumps and its naive stepping read it
+(the latter through eval_form), and eval_arg(n) is derived from it by the
+Family base.
 """
 from __future__ import annotations
 
@@ -152,14 +155,25 @@ def _sorted_claims(values):
 # variants
 
 
+def eval_form(form, n: int) -> int:
+    """g(n) = polys[sel(n)](n) for a residue_polys() form (sel, polys)."""
+    sel, polys = form
+    return poly_eval(polys[n % sel if isinstance(sel, int) else sel(n)], n)
+
+
+class Family:
+    """Base of the variants: g is stated once, as residue_polys() = (sel,
+    polys), and eval_arg(n) = polys[sel(n)](n) is derived from it."""
+
+    def eval_arg(self, n: int) -> int:
+        return eval_form(self.residue_polys(), n)
+
+
 @dataclass(frozen=True)
-class AffineMinus:
+class AffineMinus(Family):
     """g(n) = m*n - 1; claims m(n+1)+m-1... i.e. m*n+m-1 at a zero index n."""
 
     m: int
-
-    def eval_arg(self, n: int) -> int:
-        return self.m * n - 1
 
     def claim_values(self, n: int):
         return [self.m * n + self.m - 1]
@@ -172,14 +186,11 @@ class AffineMinus:
 
 
 @dataclass(frozen=True)
-class PowerMinus:
+class PowerMinus(Family):
     """g(n) = b*n^c - 1; claim b(n+1)^c - 1."""
 
     b: int
     c: int
-
-    def eval_arg(self, n: int) -> int:
-        return self.b * n**self.c - 1
 
     def claim_values(self, n: int):
         return [self.b * (n + 1) ** self.c - 1]
@@ -192,13 +203,10 @@ class PowerMinus:
 
 
 @dataclass(frozen=True)
-class PrimePowerMinusOne:
+class PrimePowerMinusOne(Family):
     """g(n) = n^p - 1; claims n and ((n+1)^p - 1)/n."""
 
     p: int
-
-    def eval_arg(self, n: int) -> int:
-        return n**self.p - 1
 
     def claim_values(self, n: int):
         return _sorted_claims([n, ((n + 1) ** self.p - 1) // n])
@@ -211,13 +219,10 @@ class PrimePowerMinusOne:
 
 
 @dataclass(frozen=True)
-class QuadShift:
+class QuadShift(Family):
     """g(n) = n(n+2m); claims n+1 and n+2m+1."""
 
     m: int
-
-    def eval_arg(self, n: int) -> int:
-        return n * (n + 2 * self.m)
 
     def claim_values(self, n: int):
         return _sorted_claims([n + 1, n + 2 * self.m + 1])
@@ -230,11 +235,8 @@ class QuadShift:
 
 
 @dataclass(frozen=True)
-class TripletProduct:
+class TripletProduct(Family):
     """g(n) = n(n+2)(n+6); claims the (p, p+2, p+6) triplet at n+1."""
-
-    def eval_arg(self, n: int) -> int:
-        return n * (n + 2) * (n + 6)
 
     def claim_values(self, n: int):
         return [n + 1, n + 3, n + 7]
@@ -247,7 +249,7 @@ class TripletProduct:
 
 
 @dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Family):
     """g(n) = P(n) for an arbitrary integer polynomial; claim P(n+1)."""
 
     coeffs: tuple
@@ -256,9 +258,6 @@ class Polynomial:
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
         if not any(self.coeffs):
             raise ValueError("polynomial needs a nonzero coefficient")
-
-    def eval_arg(self, n: int) -> int:
-        return poly_eval(self.coeffs, n)
 
     def claim_values(self, n: int):
         return [poly_eval(self.coeffs, n + 1)]
@@ -271,7 +270,7 @@ class Polynomial:
 
 
 @dataclass(frozen=True)
-class FactoredPolynomial:
+class FactoredPolynomial(Family):
     """g(n) = prod Q_j(n); claims all Q_j(n+1) simultaneously prime."""
 
     factors: tuple
@@ -280,12 +279,6 @@ class FactoredPolynomial:
         object.__setattr__(self, "factors", tuple(tuple(f) for f in self.factors))
         if not self.factors:
             raise ValueError("need at least one factor")
-
-    def eval_arg(self, n: int) -> int:
-        out = 1
-        for f in self.factors:
-            out *= poly_eval(f, n)
-        return out
 
     def claim_values(self, n: int):
         return _sorted_claims(poly_eval(f, n + 1) for f in self.factors)
@@ -301,7 +294,7 @@ class FactoredPolynomial:
 
 
 @dataclass(frozen=True)
-class PeriodicAffine:
+class PeriodicAffine(Family):
     """g(n) = m*n + b(n) with beta-periodic offsets, b(n) = offsets[(n-1) % beta]."""
 
     m: int
@@ -312,27 +305,22 @@ class PeriodicAffine:
         if not self.offsets:
             raise ValueError("offsets must be non-empty")
 
-    @property
-    def beta(self) -> int:
-        return len(self.offsets)
-
-    def eval_arg(self, n: int) -> int:
-        return self.m * n + self.offsets[(n - 1) % self.beta]
-
     def claim_values(self, n: int):
         return _sorted_claims(self.m * (n + 1) + b for b in self.offsets)
 
     def residue_polys(self):
-        beta = self.beta
-        return beta, [[self.offsets[(r - 1) % beta], self.m] for r in range(beta)]
+        # class r = n mod beta holds the offset b(n) = offsets[r - 1]
+        offsets = self.offsets[-1:] + self.offsets[:-1]
+        return len(offsets), [[b, self.m] for b in offsets]
 
     def spec_str(self) -> str:
         return f"periodic:m={self.m},offsets=" + ";".join(str(b) for b in self.offsets)
 
 
 @dataclass(frozen=True)
-class PeriodicFactorSchedule:
-    """g(n) = Q_{b(n)}(n) where b cycles through a permutation of 1..beta."""
+class PeriodicFactorSchedule(Family):
+    """g(n) = Q_{b(n)}(n) where b(n) = schedule[(n-1) % beta] cycles through
+    a permutation of 1..beta."""
 
     factors: tuple
     schedule: tuple
@@ -343,20 +331,13 @@ class PeriodicFactorSchedule:
         if sorted(self.schedule) != list(range(1, len(self.factors) + 1)):
             raise ValueError("schedule must be a permutation of 1..beta")
 
-    @property
-    def beta(self) -> int:
-        return len(self.factors)
-
-    def eval_arg(self, n: int) -> int:
-        j = self.schedule[(n - 1) % self.beta]
-        return poly_eval(self.factors[j - 1], n)
-
     def claim_values(self, n: int):
         return _sorted_claims(poly_eval(f, n + 1) for f in self.factors)
 
     def residue_polys(self):
-        beta = self.beta
-        return beta, [list(self.factors[self.schedule[(r - 1) % beta] - 1]) for r in range(beta)]
+        # class r = n mod beta holds Q_{schedule[r - 1]}
+        schedule = self.schedule[-1:] + self.schedule[:-1]
+        return len(schedule), [list(self.factors[j - 1]) for j in schedule]
 
     def spec_str(self) -> str:
         return (
@@ -368,11 +349,8 @@ class PeriodicFactorSchedule:
 
 
 @dataclass(frozen=True)
-class ShiftedIndex:
+class ShiftedIndex(Family):
     """g(n) = n - 1; the claim at a zero is the index itself."""
-
-    def eval_arg(self, n: int) -> int:
-        return n - 1
 
     def claim_values(self, n: int):
         return [n]
@@ -385,11 +363,8 @@ class ShiftedIndex:
 
 
 @dataclass(frozen=True)
-class AlternatingLinear:
+class AlternatingLinear(Family):
     """g(n) = n + (-1)^n; twin claim (n, n+2) at a zero."""
-
-    def eval_arg(self, n: int) -> int:
-        return n + (1 if n % 2 == 0 else -1)
 
     def claim_values(self, n: int):
         return [n, n + 2]
@@ -403,11 +378,8 @@ class AlternatingLinear:
 
 
 @dataclass(frozen=True)
-class ShevelevLinear:
+class ShevelevLinear(Family):
     """g(n) = n - 1 + (-1)^n, the forward twin-record drive (no zero claim)."""
-
-    def eval_arg(self, n: int) -> int:
-        return n - 1 + (1 if n % 2 == 0 else -1)
 
     def claim_values(self, n: int):
         raise NoClaimDefined("shevelev claims live on forward records, not zeros")
@@ -420,11 +392,8 @@ class ShevelevLinear:
 
 
 @dataclass(frozen=True)
-class AlternatingQuad:
+class AlternatingQuad(Family):
     """g(n) = 2n^2 + (-1)^n; twin claim (2(n+1)^2 - 1, 2(n+1)^2 + 1)."""
-
-    def eval_arg(self, n: int) -> int:
-        return 2 * n * n + (1 if n % 2 == 0 else -1)
 
     def claim_values(self, n: int):
         base = 2 * (n + 1) ** 2
@@ -438,13 +407,10 @@ class AlternatingQuad:
 
 
 @dataclass(frozen=True)
-class GoldbachProduct:
+class GoldbachProduct(Family):
     """g(n) = (n-1)(2N-n+1); decomposition claim (g_N, 2N-g_N)."""
 
     N: int
-
-    def eval_arg(self, n: int) -> int:
-        return (n - 1) * (2 * self.N - n + 1)
 
     def claim_values(self, n: int):
         return sorted([n, 2 * self.N - n])
@@ -458,7 +424,7 @@ class GoldbachProduct:
 
 
 @dataclass(frozen=True)
-class GoldbachAlt:
+class GoldbachAlt(Family):
     """g(n) = N - (-1)^n (N-n): n at even steps, 2N-n at odd steps.
 
     Claim at a zero g_N: the Goldbach pair (g_N+1, 2N-g_N-1).
@@ -466,12 +432,6 @@ class GoldbachAlt:
 
     N: int
     flip: bool = False  # swap the parity roles (used by the threshold scan)
-
-    def eval_arg(self, n: int) -> int:
-        even = n % 2 == 0
-        if self.flip:
-            even = not even
-        return n if even else 2 * self.N - n
 
     def claim_values(self, n: int):
         return sorted([n + 1, 2 * self.N - n - 1])
@@ -487,11 +447,8 @@ class GoldbachAlt:
 
 
 @dataclass(frozen=True)
-class BeattyTwin:
+class BeattyTwin(Family):
     """g(n) = n + r_n with r_n = 2(floor(pi n) - floor(pi (n-1)) - 3) in {0, 2}."""
-
-    def eval_arg(self, n: int) -> int:
-        return n + 2 * self.select(n)
 
     @staticmethod
     def select(n: int) -> int:
@@ -514,11 +471,8 @@ class BeattyTwin:
 
 
 @dataclass(frozen=True)
-class RowlandIndex:
+class RowlandIndex(Family):
     """g(n) = n, the classic forward-additive drive (no zero claim)."""
-
-    def eval_arg(self, n: int) -> int:
-        return n
 
     def claim_values(self, n: int):
         raise NoClaimDefined("rowland claims live on forward records, not zeros")

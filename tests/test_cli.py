@@ -189,3 +189,32 @@ def test_table_unknown_key_lists_known_keys(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "'nope'" in err and "beta2-1" in err and "beta6-1" in err
+
+
+def test_scan_rejects_zero_mr_rounds(capsys):
+    code = cli.dispatch(["scan", "triplet", "--n-hi", "10", "--mr-rounds", "0", "--format", "json"])
+    assert code == 2
+    assert capsys.readouterr().err == "gcdlab: rounds must be >= 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "triplet", "--n-hi", "40"],
+        ["stats", "upsilon", "--n-hi", "40"],
+        ["stats", "upsilon-twin", "--n-hi", "40"],
+    ],
+    ids=" ".join,
+)
+def test_series_use_the_cli_policy(monkeypatch, capsys, argv):
+    # every claim check of the scan and the upsilon series sees --mr-rounds and --seed
+    seen = set()
+    all_prime = cli.primality.all_prime
+
+    def spy(values, policy=cli.primality.DEFAULT_POLICY):
+        seen.add(policy)
+        return all_prime(values, policy)
+
+    monkeypatch.setattr(cli.primality, "all_prime", spy)
+    assert cli.dispatch(argv + ["--mr-rounds", "7", "--seed", "3", "--workers", "1"]) == 0
+    assert seen == {cli.primality.PrimalityPolicy(rounds=7, rng_seed=3)}

@@ -1,5 +1,6 @@
 """Engine: backward descent (naive and jump-accelerated), forward addition."""
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,17 +23,19 @@ from gcdlab.generators import (
     parse_spec,
 )
 from gcdlab.generators import BeattyPrecisionError
+from test_generators import ALL_SPECS, CLOSED_FORM
 
 
-def naive_backward(initial, arg, budget, mode="abs", start=1, want=None):
-    """Reference one-step implementation used as the equivalence oracle."""
+def naive_backward(initial, g_of, budget, mode="abs", start=1, want=None):
+    """Reference one-step implementation used as the equivalence oracle;
+    g_of(n) gives g(n)."""
     a, n = initial, start
     zs, steps = [], []
     while n < start + budget:
         if mode == "signed" and a == 0:
             break
         n += 1
-        g = gcd(a, abs(arg.eval_arg(n)))
+        g = gcd(a, abs(g_of(n)))
         prev = a
         a = abs(prev - g)
         d = a - prev
@@ -111,7 +114,7 @@ def test_regeneration_bridges_zero():
     spec = AffineMinus(m=2)
     tr = engine.run(RunConfig(initial=1, arg=spec, stop_after_zeros=2, budget=10**4))
     z1 = tr.zero_indices[0]
-    assert (z1 + 1, abs(spec.eval_arg(z1 + 1))) in tr.large_steps
+    assert (z1 + 1, 2 * (z1 + 1) - 1) in tr.large_steps
 
 
 def test_budget_flag_and_exhaustion():
@@ -137,13 +140,13 @@ def test_first_zero_guard():
         assert z is not None and z <= initial + 2
 
 
-def naive_forward(initial, arg, budget, start=1):
+def naive_forward(initial, g_of, budget, start=1):
     """Reference forward addition: every difference, the large steps, the end."""
     a, n = initial, start
     diffs, steps = [], []
     while n < start + budget:
         n += 1
-        g = gcd(a, abs(arg.eval_arg(n)))
+        g = gcd(a, abs(g_of(n)))
         a += g
         diffs.append(g)
         if g > 1:
@@ -151,13 +154,13 @@ def naive_forward(initial, arg, budget, start=1):
     return diffs, steps, n, a
 
 
-def naive_forward_records(initial, arg, budget, start=1):
+def naive_forward_records(initial, g_of, budget, start=1):
     """Reference for forward_record_indices: one step at a time."""
     a, n, best = initial, start, 0
     records, row, shev = [], [], []
     while n < start + budget:
         n += 1
-        g = gcd(a, abs(arg.eval_arg(n)))
+        g = gcd(a, abs(g_of(n)))
         a += g
         if g > best:
             best = g
@@ -169,7 +172,7 @@ def naive_forward_records(initial, arg, budget, start=1):
     return records, row, shev
 
 
-def assert_backward_matches_naive(initial, arg, budget, mode, start, want):
+def assert_backward_matches_naive(initial, arg, budget, mode, start, want, g_of=None):
     cfg = RunConfig(
         initial=initial, arg=arg, mode=mode, start_index=start, stop_after_zeros=want, budget=budget
     )
@@ -178,7 +181,7 @@ def assert_backward_matches_naive(initial, arg, budget, mode, start, want):
             engine.run(cfg)
         return
     tr = engine.run(cfg)
-    zs, steps, n, a = naive_backward(initial, arg, budget, mode, start, want)
+    zs, steps, n, a = naive_backward(initial, g_of or arg.eval_arg, budget, mode, start, want)
     assert (tr.zero_indices, tr.large_steps, tr.final_index, tr.final_value) == (zs, steps, n, a)
     assert tr.iterations_used == n - start
     assert tr.budget_exhausted == (n >= start + budget and want is not None and len(zs) < want)
@@ -199,7 +202,7 @@ def test_beatty_jump_equals_naive(initial, budget, mode, start, want):
 
 def test_beatty_first_zero():
     cfg = RunConfig(initial=98, arg=BeattyTwin(), mode=engine.SIGNED_BACKWARD)
-    zs, _, _, _ = naive_backward(98, BeattyTwin(), 99, "signed", want=1)
+    zs, _, _, _ = naive_backward(98, BeattyTwin().eval_arg, 99, "signed", want=1)
     assert engine.first_zero(cfg) == zs[0]
 
 
@@ -213,7 +216,7 @@ def _outcome(fn):
 def test_beatty_precision_error_where_naive_raises():
     # pi * 364913 is within 1e-6 of an integer: the naive descent raises there
     arg = BeattyTwin()
-    naive = _outcome(lambda: naive_backward(400_000, arg, 10**6, "signed"))
+    naive = _outcome(lambda: naive_backward(400_000, arg.eval_arg, 10**6, "signed"))
     jump = _outcome(
         lambda: engine.run(RunConfig(initial=400_000, arg=arg, mode=engine.SIGNED_BACKWARD, budget=10**6))
     )
@@ -231,10 +234,10 @@ def test_beatty_raises_only_where_naive_raises(initial, budget, mode, start):
     arg = BeattyTwin()
     cfg = RunConfig(initial=initial, arg=arg, mode=mode, start_index=start, budget=budget)
     if mode == engine.FORWARD_ADD:
-        naive = _outcome(lambda: naive_forward(initial, arg, budget, start)[1:])
+        naive = _outcome(lambda: naive_forward(initial, arg.eval_arg, budget, start)[1:])
         jump = _outcome(lambda: (lambda t: (t.large_steps, t.final_index, t.final_value))(engine.run(cfg)))
     else:
-        naive = _outcome(lambda: naive_backward(initial, arg, budget, mode, start))
+        naive = _outcome(lambda: naive_backward(initial, arg.eval_arg, budget, mode, start))
         jump = _outcome(
             lambda: (lambda t: (t.zero_indices, t.large_steps, t.final_index, t.final_value))(engine.run(cfg))
         )
@@ -248,20 +251,21 @@ def test_beatty_walk_through_imprecise_index():
         assert_backward_matches_naive(initial, BeattyTwin(), 2000, engine.SIGNED_BACKWARD, start, None)
 
 
-FORWARD_SPECS = [
-    RowlandIndex(),
-    ShevelevLinear(),
-    PeriodicAffine(m=1, offsets=(0, 2)),
-    PeriodicAffine(m=3, offsets=(-1, 4, 0)),
-    Polynomial(coeffs=(0, 1, 1)),
-    Polynomial(coeffs=(-6, 1)),
-    ShiftedIndex(),
-    BeattyTwin(),
-]
+# each family with g written out by hand, as the naive reference steps it
+FORWARD_SPECS = {
+    RowlandIndex(): lambda n: n,
+    ShevelevLinear(): lambda n: n - 1 + (-1 if n % 2 else 1),
+    PeriodicAffine(m=1, offsets=(0, 2)): lambda n: n + (0, 2)[(n - 1) % 2],
+    PeriodicAffine(m=3, offsets=(-1, 4, 0)): lambda n: 3 * n + (-1, 4, 0)[(n - 1) % 3],
+    Polynomial(coeffs=(0, 1, 1)): lambda n: n + n * n,
+    Polynomial(coeffs=(-6, 1)): lambda n: n - 6,
+    ShiftedIndex(): lambda n: n - 1,
+    BeattyTwin(): CLOSED_FORM[BeattyTwin()],
+}
 
 
 @given(
-    spec=st.sampled_from(FORWARD_SPECS),
+    spec=st.sampled_from(list(FORWARD_SPECS)),
     initial=st.integers(0, 3000),
     budget=st.integers(1, 3000),
     start=st.integers(0, 50),
@@ -270,7 +274,7 @@ FORWARD_SPECS = [
 def test_forward_jump_equals_naive(spec, initial, budget, start):
     cfg = RunConfig(initial=initial, arg=spec, mode=engine.FORWARD_ADD, start_index=start, budget=budget)
     tr = engine.run(cfg)
-    diffs, steps, n, a = naive_forward(initial, spec, budget, start)
+    diffs, steps, n, a = naive_forward(initial, FORWARD_SPECS[spec], budget, start)
     assert (tr.large_steps, tr.final_index, tr.final_value) == (steps, n, a)
     assert len(tr.forward_diffs) == tr.iterations_used == budget
     assert list(tr.forward_diffs) == diffs
@@ -279,7 +283,7 @@ def test_forward_jump_equals_naive(spec, initial, budget, start):
     assert tr.zero_indices == [] and not tr.budget_exhausted
     fr = engine.forward_record_indices(cfg)
     assert (fr.records, fr.rowland_flags, fr.shevelev_flags) == naive_forward_records(
-        initial, spec, budget, start
+        initial, FORWARD_SPECS[spec], budget, start
     )
 
 
@@ -287,7 +291,7 @@ def test_forward_zero_difference():
     # g(1) = 0 and a(0) = 0, so the first difference is gcd(0, 0) = 0
     cfg = RunConfig(initial=0, arg=ShiftedIndex(), mode=engine.FORWARD_ADD, start_index=0, budget=6)
     tr = engine.run(cfg)
-    assert tr.forward_diffs == naive_forward(0, ShiftedIndex(), 6, start=0)[0] == [0, 1, 1, 1, 1, 1]
+    assert tr.forward_diffs == naive_forward(0, lambda n: n - 1, 6, start=0)[0] == [0, 1, 1, 1, 1, 1]
     assert tr.forward_steps == [(1, 0)]
 
 
@@ -309,7 +313,8 @@ def test_jump_equals_naive_periodic(m, offsets, initial):
     spec = PeriodicAffine(m=m, offsets=tuple(offsets))
     budget = 2000
     tr = engine.run(RunConfig(initial=initial, arg=spec, budget=budget))
-    zs, steps, n, a = naive_backward(initial, spec, budget)
+    g = lambda n: m * n + offsets[(n - 1) % len(offsets)]  # noqa: E731
+    zs, steps, n, a = naive_backward(initial, g, budget)
     assert tr.zero_indices == zs
     assert tr.large_steps == steps
     assert (tr.final_index, tr.final_value) == (n, a)
@@ -324,7 +329,8 @@ def test_jump_equals_naive_polynomial(coeffs, initial):
     spec = Polynomial(coeffs=tuple(coeffs))
     budget = 1500
     tr = engine.run(RunConfig(initial=initial, arg=spec, budget=budget))
-    zs, steps, n, a = naive_backward(initial, spec, budget)
+    g = lambda n: sum(c * n**k for k, c in enumerate(coeffs))  # noqa: E731
+    zs, steps, n, a = naive_backward(initial, g, budget)
     assert (tr.zero_indices, tr.large_steps, tr.final_index, tr.final_value) == (
         zs,
         steps,
@@ -339,7 +345,7 @@ def test_zero_class_at_the_budget_limit():
     spec = PeriodicAffine(m=1, offsets=(0, 0, 0, -5))
     for budget in (3, 4):
         tr = engine.run(RunConfig(initial=3, arg=spec, budget=budget))
-        zs, steps, n, a = naive_backward(3, spec, budget)
+        zs, steps, n, a = naive_backward(3, lambda n: n + (0, 0, 0, -5)[(n - 1) % 4], budget)
         assert (tr.zero_indices, tr.large_steps, tr.final_index, tr.final_value) == (zs, steps, n, a)
 
 
@@ -360,16 +366,35 @@ def test_parse_spec_integration():
     assert zs == [2, 5, 11, 23, 47]
 
 
-class _InconsistentArg:
-    """g(n) = 1 for every n, but residue polynomials that claim g(n) = n."""
-
-    def eval_arg(self, n):
-        return 1
-
-    def residue_polys(self):
-        return 1, [[0, 1]]
+def test_jump_event_invariant_raises(monkeypatch):
+    # an event whose class value 1 has no prime in common with a(i - 1)
+    monkeypatch.setattr(engine, "_next_event", lambda n, x, hi, sel, polys: (n + 1, 1))
+    for mode in (engine.ABS_BACKWARD, engine.FORWARD_ADD):
+        with pytest.raises(engine.EngineInvariantError, match="unit step"):
+            engine.run(RunConfig(initial=10, arg=AffineMinus(m=1), mode=mode))
 
 
-def test_jump_event_invariant_raises():
-    with pytest.raises(engine.EngineInvariantError, match="unit step"):
-        engine.run(RunConfig(initial=10, arg=_InconsistentArg()))
+@given(
+    spec=st.sampled_from(ALL_SPECS),
+    mode=st.sampled_from([engine.ABS_BACKWARD, engine.SIGNED_BACKWARD, engine.FORWARD_ADD]),
+    initial=st.integers(0, 2999),
+    budget=st.integers(1, 2999),
+    start=st.integers(0, 49),
+    want=st.none() | st.integers(1, 3),
+)
+@settings(max_examples=1000, deadline=None)
+def test_every_family_jump_equals_naive(spec, mode, initial, budget, start, want):
+    # The naive reference steps with g written out, not with eval_arg.  The
+    # factoring cut-over is lowered to 2^64: abs-mode regeneration makes values
+    # up to 10^34 whose factors can take rho minutes, and the result must not
+    # depend on where the cut-over lies.
+    g_of = CLOSED_FORM[spec]
+    with mock.patch.object(engine, "_FACTOR_LIMIT", 2**64):
+        if mode != engine.FORWARD_ADD:
+            assert_backward_matches_naive(initial, spec, budget, mode, start, want, g_of)
+            return
+        cfg = RunConfig(initial=initial, arg=spec, mode=mode, start_index=start, budget=budget)
+        tr = engine.run(cfg)
+    diffs, steps, n, a = naive_forward(initial, g_of, budget, start)
+    assert (tr.large_steps, tr.final_index, tr.final_value) == (steps, n, a)
+    assert list(tr.forward_diffs) == diffs

@@ -38,26 +38,49 @@ def test_floor_pi_times_matches_float_region():
         assert G.floor_pi_times(n) == math.floor(math.pi * n)
 
 
-ALL_SPECS = [
-    G.AffineMinus(m=5),
-    G.PowerMinus(b=2, c=3),
-    G.PrimePowerMinusOne(p=3),
-    G.QuadShift(m=2),
-    G.TripletProduct(),
-    G.Polynomial(coeffs=(-1, 0, 2)),
-    G.FactoredPolynomial(factors=((1, 0, 1), (3, 0, 1))),
-    G.PeriodicAffine(m=1, offsets=(0, 2)),
-    G.PeriodicFactorSchedule(factors=((1, 0, 1), (3, 0, 1)), schedule=(2, 1)),
-    G.ShiftedIndex(),
-    G.AlternatingLinear(),
-    G.ShevelevLinear(),
-    G.AlternatingQuad(),
-    G.GoldbachProduct(N=50),
-    G.GoldbachAlt(N=50),
-    G.GoldbachAlt(N=50, flip=True),
-    G.BeattyTwin(),
-    G.RowlandIndex(),
-]
+def _sign(n):
+    return -1 if n % 2 else 1
+
+
+def _beatty_r(n):
+    # float floor(pi*n) is exact for n < 10000 (test above)
+    return 2 * (math.floor(math.pi * n) - math.floor(math.pi * (n - 1)) - 3)
+
+
+# every family with g written out from its class docstring, as an oracle for
+# the g that eval_arg derives from residue_polys()
+CLOSED_FORM = {
+    G.AffineMinus(m=5): lambda n: 5 * n - 1,
+    G.PowerMinus(b=2, c=3): lambda n: 2 * n**3 - 1,
+    G.PrimePowerMinusOne(p=3): lambda n: n**3 - 1,
+    G.QuadShift(m=2): lambda n: n * (n + 4),
+    G.TripletProduct(): lambda n: n * (n + 2) * (n + 6),
+    G.Polynomial(coeffs=(-1, 0, 2)): lambda n: 2 * n * n - 1,
+    G.FactoredPolynomial(factors=((1, 0, 1), (3, 0, 1))): lambda n: (n * n + 1) * (n * n + 3),
+    # b(n) = offsets[(n-1) % 2]: 0 at odd n, 2 at even n
+    G.PeriodicAffine(m=1, offsets=(0, 2)): lambda n: n + (0 if n % 2 else 2),
+    # Q_{b(n)} with b(n) = schedule[(n-1) % 2]: Q_2 = n^2+3 at odd n, Q_1 = n^2+1 at even n
+    G.PeriodicFactorSchedule(factors=((1, 0, 1), (3, 0, 1)), schedule=(2, 1)): (
+        lambda n: n * n + (3 if n % 2 else 1)
+    ),
+    # b(n) = offsets[(n-1) % 3]: -1 at n = 1 mod 3, 4 at n = 2, 0 at n = 0
+    G.PeriodicAffine(m=3, offsets=(-1, 4, 0)): lambda n: 3 * n + {1: -1, 2: 4, 0: 0}[n % 3],
+    # Q_1 = n^2+1, Q_2 = n^2+3, Q_3 = n+1 and b(n) = schedule[(n-1) % 3]:
+    # Q_2 at n = 1 mod 3, Q_3 at n = 2, Q_1 at n = 0
+    G.PeriodicFactorSchedule(factors=((1, 0, 1), (3, 0, 1), (1, 1)), schedule=(2, 3, 1)): (
+        lambda n: {1: n * n + 3, 2: n + 1, 0: n * n + 1}[n % 3]
+    ),
+    G.ShiftedIndex(): lambda n: n - 1,
+    G.AlternatingLinear(): lambda n: n + _sign(n),
+    G.ShevelevLinear(): lambda n: n - 1 + _sign(n),
+    G.AlternatingQuad(): lambda n: 2 * n * n + _sign(n),
+    G.GoldbachProduct(N=50): lambda n: (n - 1) * (2 * 50 - n + 1),
+    G.GoldbachAlt(N=50): lambda n: 50 - _sign(n) * (50 - n),
+    G.GoldbachAlt(N=50, flip=True): lambda n: 50 + _sign(n) * (50 - n),
+    G.BeattyTwin(): lambda n: n + _beatty_r(n),
+    G.RowlandIndex(): lambda n: n,
+}
+ALL_SPECS = list(CLOSED_FORM)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.spec_str())
@@ -70,13 +93,21 @@ def test_spec_string_roundtrip(spec):
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.spec_str())
 def test_residue_polys_agree_with_eval(spec):
+    # the shape of the form that eval_arg reads: one polynomial per class of
+    # an int period, and a selector that stays in range
     sel, polys = spec.residue_polys()
     if isinstance(sel, int):
         assert len(polys) == sel
         sel = sel.__rmod__
     for n in range(1, 2000):
         assert 0 <= sel(n) < len(polys)
-        assert G.poly_eval(polys[sel(n)], n) == spec.eval_arg(n), n
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.spec_str())
+def test_eval_arg_matches_closed_form(spec):
+    g = CLOSED_FORM[spec]
+    for n in range(1, 2000):
+        assert spec.eval_arg(n) == g(n), n
 
 
 def test_parse_spec_errors():
