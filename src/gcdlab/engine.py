@@ -16,10 +16,18 @@ P(i) = P(x) (mod x - i) for an integer polynomial P, so the step is
 gcd(a(i - 1), polys[sel(i)](x)), from the value the event finder has just
 factored.
 
-A plateau is stepped naively instead when a = 0, when a polynomial value
-exceeds _FACTOR_LIMIT, when sel raises BeattyPrecisionError, or when it reaches
-the family's first_unsafe_index (where evaluating g raises): the run then
-raises exactly where, and only where, one-step-at-a-time stepping would.
+Factoring is skipped where stepping is cheaper.  The step at index i of a
+plateau is gcd(x - i, q) with q = |polys[sel(i)](x)|, one small gcd.  Values
+below 2^20 are factored by a table lookup, so they are always factored.  A
+larger value costs Brent's rho about q^(1/4) steps, so the event finder first
+tests the plateau's next max(_SCAN_MIN, 2^(bits/4 - _SCAN_SHIFT)) indices with
+one gcd each, bits being the largest value's bit length.  It factors only if
+the plateau is longer than that and no index in it is an event.
+
+A plateau is stepped naively instead when a = 0, when sel raises
+BeattyPrecisionError, or when it reaches the family's first_unsafe_index
+(where evaluating g raises): the run then raises exactly where, and only
+where, one-step-at-a-time stepping would.
 
 The factorizations are done in-house: values below 2^20 are read off
 `primality._spf_table`, the smallest-prime-factor (SPF) table that is the
@@ -33,6 +41,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cache, lru_cache
+from itertools import cycle
 from math import gcd
 
 from .generators import BeattyPrecisionError, eval_form, poly_eval
@@ -44,8 +53,12 @@ FORWARD_ADD = "forward"
 
 DEFAULT_BUDGET = 10_000_000
 
-# Above this, factoring the class polynomial value is slower than stepping.
-_FACTOR_LIMIT = 10**34
+# The event finder tests at least _SCAN_MIN indices one by one before it
+# factors a value of `bits` bits, or 2^(bits/4 - _SCAN_SHIFT) if that is more.
+# Both were picked by timing perfbench's factor-heavy commands in-process over
+# _SCAN_MIN in 16..1024 and _SCAN_SHIFT in 0..4.
+_SCAN_MIN = 256
+_SCAN_SHIFT = 3
 # Large factoring inputs are first trial-divided by the primes below this.
 _TRIAL_LIMIT = 1 << 12
 # Brent rho: steps whose x - y are multiplied together before one gcd.
@@ -207,12 +220,29 @@ def _prime_factors(q: int) -> tuple:
 def _next_event(n: int, x: int, hi: int, sel, polys) -> tuple | None:
     """(i, q) for the least i in (n, hi] at which some prime p divides
     q = |polys[sel(i)](x)| and i = x (mod p), or None; where q == 0, i is the
-    first index with that class.  Each p's candidates are walked upwards until
-    sel(i) matches; for an int period beta, beta steps cover every class."""
+    first index with that class.  If some q >= _SPF_LIMIT, the first indices
+    are tested with gcd(x - i, q) > 1 (the module docstring gives how many).
+    Past them each p's candidates are walked upwards until sel(i) matches;
+    for an int period beta, beta steps cover every class."""
     beta = sel if isinstance(sel, int) else 0
+    qs = [abs(poly_eval(poly, x)) for poly in polys]
+    largest = max(qs)
+    if largest >= _SPF_LIMIT:
+        end = min(hi, n + max(_SCAN_MIN, 1 << (largest.bit_length() // 4 - _SCAN_SHIFT)))
+        indices = range(n + 1, end + 1)
+        if beta:
+            k = (n + 1) % beta
+            values = cycle(qs[k:] + qs[:k])
+        else:
+            values = (qs[sel(i)] for i in indices)
+        for i, q in zip(indices, values):
+            if gcd(x - i, q) > 1:
+                return i, q
+        if end == hi:
+            return None
+        n = end
     best, value = hi + 1, None
-    for k, poly in enumerate(polys):
-        q = abs(poly_eval(poly, x))
+    for k, q in enumerate(qs):
         if q == 1:
             continue
         for p in _prime_factors(q) if q else (1,):
@@ -258,7 +288,7 @@ def run(config: RunConfig) -> Trace:
         if not forward and x - 1 <= limit:
             top, hi = x - 1, x - 2
         end = None
-        if a and all(abs(poly_eval(p, x)) <= _FACTOR_LIMIT for p in polys):
+        if a:
             try:
                 # forward from a = 1 the first step is a unit step whatever g is
                 event = _next_event(n + (forward and a == 1), x, hi, sel, polys)
@@ -296,10 +326,11 @@ def run(config: RunConfig) -> Trace:
 
 
 def _step_until_event(config, trace, n, a, limit):
-    """Naive stepping fallback; returns (n, a, stop) after a non-unit step, a
-    step from or to 0, or at the budget limit; stop says every requested zero
-    has been found."""
-    # the form is built once per call: a plateau past _FACTOR_LIMIT steps here
+    """Naive stepping, for the three plateaus the event finder does not
+    serve: a = 0, a selector that raises BeattyPrecisionError, and a plateau
+    that reaches the family's first_unsafe_index.  Returns (n, a, stop) after
+    a non-unit step, a step from or to 0, or at the budget limit; stop says
+    every requested zero has been found."""
     form = config.arg.residue_polys()
     forward = config.mode == FORWARD_ADD
     while n < limit:

@@ -1,6 +1,5 @@
 """Engine: backward descent (naive and jump-accelerated), forward addition."""
-from math import gcd
-from unittest import mock
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +11,7 @@ from gcdlab.generators import (
     AffineMinus,
     AlternatingLinear,
     BeattyTwin,
+    FactoredPolynomial,
     GoldbachAlt,
     PeriodicAffine,
     Polynomial,
@@ -384,17 +384,114 @@ def test_jump_event_invariant_raises(monkeypatch):
 )
 @settings(max_examples=1000, deadline=None)
 def test_every_family_jump_equals_naive(spec, mode, initial, budget, start, want):
-    # The naive reference steps with g written out, not with eval_arg.  The
-    # factoring cut-over is lowered to 2^64: abs-mode regeneration makes values
-    # up to 10^34 whose factors can take rho minutes, and the result must not
-    # depend on where the cut-over lies.
+    # the naive reference steps with g written out, not with eval_arg
     g_of = CLOSED_FORM[spec]
-    with mock.patch.object(engine, "_FACTOR_LIMIT", 2**64):
-        if mode != engine.FORWARD_ADD:
-            assert_backward_matches_naive(initial, spec, budget, mode, start, want, g_of)
-            return
-        cfg = RunConfig(initial=initial, arg=spec, mode=mode, start_index=start, budget=budget)
-        tr = engine.run(cfg)
+    if mode != engine.FORWARD_ADD:
+        assert_backward_matches_naive(initial, spec, budget, mode, start, want, g_of)
+        return
+    cfg = RunConfig(initial=initial, arg=spec, mode=mode, start_index=start, budget=budget)
+    tr = engine.run(cfg)
     diffs, steps, n, a = naive_forward(initial, g_of, budget, start)
     assert (tr.large_steps, tr.final_index, tr.final_value) == (steps, n, a)
     assert list(tr.forward_diffs) == diffs
+
+
+# The event finder tests the first indices of a plateau with one gcd each
+# before it factors a class value of 2^20 or more (see the engine docstring).
+# Values of ~113 bits on plateaus of ~1000 steps once sent it into minutes of
+# Pollard rho; the deadline fails an example that falls back to that.
+def _power_minus(b, c):
+    return PowerMinus(b=b, c=c), lambda n: b * n**c - 1
+
+
+def _factored(factors):
+    g = lambda n: prod(sum(c * n**k for k, c in enumerate(f)) for f in factors)  # noqa: E731
+    return FactoredPolynomial(factors=tuple(factors)), g
+
+
+_FACTOR_POLYS = [(1, 0, 1), (3, 0, 1), (-1, 2), (1, 1, 1), (5, -3, 2), (-2, 0, 3), (1, 0, 0, 1)]
+
+
+@given(
+    family=st.builds(_power_minus, st.integers(1, 3), st.integers(3, 5))
+    | st.builds(_factored, st.lists(st.sampled_from(_FACTOR_POLYS), min_size=1, max_size=3)),
+    initial=st.integers(0, 2999),
+    start=st.integers(0, 99),
+    budget=st.integers(1, 3999),
+)
+@settings(max_examples=200, deadline=2000)
+def test_large_values_jump_equals_naive(family, initial, start, budget):
+    spec, g_of = family
+    assert_backward_matches_naive(initial, spec, budget, engine.ABS_BACKWARD, start, None, g_of)
+
+
+@pytest.mark.parametrize(
+    "family, initial, start, budget",
+    [
+        (_factored([(1, 0, 1), (3, 0, 1)]), 960, 58, 1008),
+        (_power_minus(2, 3), 2434, 20, 3849),
+        # class values of ~117 bits, above the 10^34 where factoring once
+        # gave way to naive stepping
+        (_power_minus(2, 5), 10**12, 10**7, 200_000),
+    ],
+)
+def test_large_value_runs_equal_naive(family, initial, start, budget):
+    spec, g_of = family
+    assert_backward_matches_naive(initial, spec, budget, engine.ABS_BACKWARD, start, None, g_of)
+
+
+_P21 = 2097169  # a prime of 22 bits: its plateaus are tested for _SCAN_MIN indices
+_P65 = 18446744073709551629  # a prime of 65 bits: for 2^(65 // 4 - _SCAN_SHIFT)
+
+
+def _scan_bound(q):
+    return max(engine._SCAN_MIN, 1 << (q.bit_length() // 4 - engine._SCAN_SHIFT))
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    calls = []
+    inner = engine._prime_factors
+
+    def counted(q):
+        calls.append(q)
+        return inner(q)
+
+    monkeypatch.setattr(engine, "_prime_factors", counted)
+    return calls
+
+
+@pytest.mark.parametrize("q", [_P21, _P65])
+@pytest.mark.parametrize("past_scan", [0, 1])
+def test_event_at_the_scan_bound(factor_calls, q, past_scan):
+    # g = q on every index, so the only event is at i = x (mod q), put at the
+    # last index the gcd test covers, or the first one after it
+    n, w = 1000, _scan_bound(q)
+    x = n + w + past_scan + q
+    assert engine._next_event(n, x, x - 2, 1, [[q]]) == (n + w + past_scan, q)
+    assert factor_calls == [q] * past_scan
+
+
+@pytest.mark.parametrize("q", [_P21, _P65])
+@pytest.mark.parametrize("past_scan", [0, 1])
+def test_plateau_as_long_as_the_scan_bound(factor_calls, q, past_scan):
+    # no event on (n, hi]: a plateau the gcd test covers ends without factoring
+    n, w = 1000, _scan_bound(q)
+    hi = n + w + past_scan
+    assert engine._next_event(n, hi + q + 1, hi, 1, [[q]]) is None
+    assert factor_calls == [q] * past_scan
+
+
+def test_zero_class_value_on_a_large_plateau(factor_calls):
+    # class 0 has value 0, so its first index is the event; class 1 has none
+    n, x = 1000, 1000 + 3 * _P65
+    assert engine._next_event(n, x, x - 2, 2, [[0], [_P65]]) == (1002, 0)
+    assert engine._next_event(n + 1, x, x - 2, 2, [[0], [_P65]]) == (1002, 0)
+    assert factor_calls == []
+    # GoldbachAlt(N) has g(i) = 2N - i on odd i, which is 0 at x = 2N; the
+    # even class's value x is above 2^20
+    N = 2**20
+    g = lambda n: n if n % 2 == 0 else 2 * N - n  # noqa: E731
+    for start in (10, 11):
+        initial = 2 * N - start - 1
+        assert_backward_matches_naive(initial, GoldbachAlt(N=N), 3000, engine.ABS_BACKWARD, start, None, g)
