@@ -1,5 +1,9 @@
 """Command-line front end: runs, tables, scans, predictions, statistics.
 
+Each command, and each stats kind, accepts only the flags it honours, spelt
+in full; any other flag is an argument error, and so is a table or predict
+parameter that the chosen family does not read.
+
 Exit codes: 0 success, 2 argument error (also a Beatty run that reaches an
 index n where pi*n is too close to an integer for the stored pi), 3 budget
 exhausted (partial output is still emitted, flagged in the metadata).
@@ -8,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import engine, experiments, primality, records
@@ -20,17 +23,64 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+class _Parser(argparse.ArgumentParser):
+    """Matches option names only in full, so that a flag a command does not
+    declare cannot parse as an abbreviation of one it does (upsilon-v's
+    --count would take --c), and reports a usage error in one line."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+# add_argument keywords of the flags that commands name in _add_flags: the
+# four shared ones, then the stats kinds' own flags
+_FLAGS = {
+    "budget": dict(type=int, default=engine.DEFAULT_BUDGET),
+    "workers": dict(type=positive_int, default=1),
+    "seed": dict(type=int, default=0),
+    "mr-rounds": dict(type=int, default=40),
+    "alpha": dict(default="1/2"),
+    "samples": dict(type=int, default=1000),
+    "lo": dict(type=int, default=10**6),
+    "hi": dict(type=int, default=10**7),
+    "b": dict(type=int, default=2),
+    "c": dict(type=int, default=2),
+    "n-hi": dict(type=int, default=5000),
+    "count": dict(type=int, default=140),
+}
+
+# the flags each stats kind honours
+_STATS_KINDS = {
+    "lalpha": ("alpha", "samples", "lo", "hi", "seed", "mr-rounds"),
+    "upsilon": ("b", "c", "n-hi", "workers", "seed", "mr-rounds"),
+    "upsilon-twin": ("n-hi", "workers", "seed", "mr-rounds"),
+    "upsilon-v": ("count", "seed", "mr-rounds"),
+    "goldbach-constant": ("n-hi",),
+    "gaps": ("n-hi", "seed", "mr-rounds"),
+    "legendre": ("n-hi", "workers"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    """Give p --format, --out and the _FLAGS `names`: the flags it honours."""
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--budget", type=int, default=engine.DEFAULT_BUDGET)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mr-rounds", type=int, default=40)
+    for name in names:
+        p.add_argument(f"--{name}", **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="gcdlab", description=__doc__)
+    ap = _Parser(prog="gcdlab", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("run", help="run a recursion and print its event trace")
@@ -39,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("abs", "signed", "forward"), default="abs")
     p.add_argument("--start-index", type=int, default=1)
     p.add_argument("--zeros", type=int, default=None, help="stop after this many zeros")
-    _add_common(p)
+    _add_flags(p, "budget")
 
     p = sub.add_parser("zeros", help="first zero indices of a recursion")
     p.add_argument("--spec", required=True)
@@ -47,16 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--mode", choices=("abs", "signed"), default="abs")
     p.add_argument("--start-index", type=int, default=1)
-    _add_common(p)
+    _add_flags(p, "budget")
 
     p = sub.add_parser("table", help="reproduce a reference table")
-    p.add_argument(
-        "family",
-        choices=["appendix1", "appendix2", "appendix3", "appendix4", "appendix5", "appendix6"]
-        + [f"c{i}" for i in range(1, 11)]
-        + ["c3bis", "c3ter"],
-    )
-    p.add_argument("--rows", type=int, default=None)
+    p.add_argument("family", choices=sorted(experiments.TABLE_PARAMS))
+    p.add_argument("--rows", type=positive_int, default=None)
     p.add_argument("--m", type=int)
     p.add_argument("--p", type=int)
     p.add_argument("--b", type=int)
@@ -67,12 +112,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial", type=int)
     p.add_argument("--n-hi", type=int)
     p.add_argument("--variant", choices=("prime", "twin"))
-    _add_common(p)
+    _add_flags(p, "seed", "mr-rounds")
 
     p = sub.add_parser("scan", help="threshold scan over starting values")
     p.add_argument("family", choices=sorted(experiments._SCAN_FAMILIES))
     p.add_argument("--n-hi", type=int, required=True)
-    _add_common(p)
+    _add_flags(p, "workers", "seed", "mr-rounds")
 
     p = sub.add_parser("predict", help="record-jump prediction")
     p.add_argument("family", choices=("affine", "power"))
@@ -81,35 +126,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int)
     p.add_argument("--record", type=int, required=True)
     p.add_argument("--tail", default="", help="comma-separated large negative steps")
-    _add_common(p)
+    _add_flags(p)
 
     p = sub.add_parser("stats", help="statistical series and estimators")
-    p.add_argument(
-        "kind",
-        choices=(
-            "lalpha",
-            "upsilon",
-            "upsilon-twin",
-            "upsilon-v",
-            "goldbach-constant",
-            "gaps",
-            "legendre",
-        ),
-    )
-    p.add_argument("--alpha", default="1/2")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--lo", type=int, default=10**6)
-    p.add_argument("--hi", type=int, default=10**7)
-    p.add_argument("--b", type=int, default=2)
-    p.add_argument("--c", type=int, default=2)
-    p.add_argument("--n-hi", type=int, default=5000)
-    p.add_argument("--count", type=int, default=140)
-    _add_common(p)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind, names in _STATS_KINDS.items():
+        _add_flags(kinds.add_parser(kind), *names)
 
     p = sub.add_parser("goldbach", help="Goldbach decomposition for one N")
     p.add_argument("N", type=int)
     p.add_argument("--variant", choices=("product", "alternating"), default="alternating")
-    _add_common(p)
+    _add_flags(p, "seed", "mr-rounds")
 
     return ap
 
@@ -122,18 +149,13 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    return max(1, int(os.environ.get("GCDLAB_WORKERS", "1")))
-
-
 def _policy(args) -> primality.PrimalityPolicy:
     return primality.PrimalityPolicy(rounds=args.mr_rounds, rng_seed=args.seed or 0x5EED_CAFE)
 
 
 def _meta(args, **extra) -> dict:
-    meta = {"argv": args.argv, "budget": args.budget, "seed": args.seed}
+    meta = {"argv": args.argv}
+    meta.update((key, getattr(args, key)) for key in ("budget", "seed") if hasattr(args, key))
     meta.update(extra)
     return meta
 
@@ -209,14 +231,13 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    params = {}
-    for key in ("m", "p", "b", "c", "start", "key", "spec", "initial", "variant"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    if args.n_hi is not None:
-        params["n_hi"] = args.n_hi
+    params = {
+        key: getattr(args, key)
+        for key in ("m", "p", "b", "c", "start", "key", "spec", "initial", "n_hi", "variant")
+        if getattr(args, key) is not None
+    }
     if args.family == "appendix1":
+        experiments.check_table_params(args.family, params)  # table() checks the others
         rows = experiments.appendix1(args.rows or 20, policy=_policy(args))
         if args.format == "json":
             _emit(args, _json_report(args, [[k, str(b), d, r] for k, b, d, r in rows]))
@@ -230,7 +251,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_scan(args) -> int:
     report = experiments.scan_threshold(
-        args.family, args.n_hi, workers=_workers(args), policy=_policy(args)
+        args.family, args.n_hi, workers=args.workers, policy=_policy(args)
     )
     if args.format == "json":
         _emit(
@@ -249,14 +270,15 @@ def _cmd_scan(args) -> int:
 
 def _cmd_predict(args) -> int:
     tail = [int(t) for t in args.tail.split(",") if t.strip()]
+    reads = ("m",) if args.family == "affine" else ("b", "c")
+    for key in ("m", "b", "c"):
+        given = getattr(args, key) is not None
+        if given != (key in reads):
+            raise SpecParseError(f"predict {args.family} {'does not read' if given else 'requires'} --{key}")
     if args.family == "affine":
-        if args.m is None:
-            raise SpecParseError("predict affine requires --m")
         jump = records.RecordJump(args.record, tail, AffineMinus(m=args.m))
         value = records.predict_next_affine(args.m, jump)
     else:
-        if args.b is None or args.c is None:
-            raise SpecParseError("predict power requires --b and --c")
         jump = records.RecordJump(args.record, tail, PowerMinus(b=args.b, c=args.c))
         value = records.predict_next_power(args.b, args.c, jump)
     if args.format == "json":
@@ -267,31 +289,29 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    policy = _policy(args)
-    workers = _workers(args)
     if args.kind == "lalpha":
         from fractions import Fraction
 
         alpha = Fraction(args.alpha)
         ms = records.sample_ms(args.samples, args.lo, args.hi, seed=args.seed)
-        est = records.estimate_L_alpha(alpha, ms, policy=policy)
+        est = records.estimate_L_alpha(alpha, ms, policy=_policy(args))
         if args.format == "json":
             _emit(args, _json_report(args, [float(est)], alpha=str(alpha)))
         else:
             _emit(args, f"{float(est)}\n")
         return EXIT_OK
     if args.kind == "upsilon":
-        series = experiments.upsilon(args.n_hi, args.b, args.c, workers=workers, policy=policy)
+        series = experiments.upsilon(args.n_hi, args.b, args.c, workers=args.workers, policy=_policy(args))
     elif args.kind == "upsilon-twin":
-        series = experiments.upsilon_twin(args.n_hi, workers=workers, policy=policy)
+        series = experiments.upsilon_twin(args.n_hi, workers=args.workers, policy=_policy(args))
     elif args.kind == "upsilon-v":
-        series = experiments.upsilon_v(args.count, policy=policy)
+        series = experiments.upsilon_v(args.count, policy=_policy(args))
     elif args.kind == "goldbach-constant":
         series = experiments.goldbach_constant_series(args.n_hi)
     elif args.kind == "gaps":
-        series = [(n, a) for n, a, _ in experiments.gap_diagnostics(args.n_hi, policy=policy)]
+        series = [(n, a) for n, a, _ in experiments.gap_diagnostics(args.n_hi, policy=_policy(args))]
     else:  # legendre
-        series = experiments.legendre_series(args.n_hi, workers=workers)
+        series = experiments.legendre_series(args.n_hi, workers=args.workers)
     if args.format == "json":
         _emit(args, _json_report(args, [[x, y] for x, y in series], kind=args.kind))
     else:

@@ -145,14 +145,38 @@ APPENDIX6_TABLES = {
 }
 
 
-def table(family: str, rows: int | None = None, policy=primality.DEFAULT_POLICY, **params):
-    """Reproduce a reference table by id.
+# the parameters each table family reads, besides rows; families that read
+# the same ones share a line
+TABLE_PARAMS = {
+    **dict.fromkeys(("appendix1", "c1", "c3ter"), ()),
+    **dict.fromkeys(("appendix2", "c2", "appendix4", "c3bis"), ("m",)),
+    "appendix3": ("start",),
+    **dict.fromkeys(("appendix5", "c3"), ("p",)),
+    "appendix6": ("key",),
+    "c4": ("b", "c", "initial"),
+    **dict.fromkeys(("c5", "c10"), ("n_hi",)),
+    **dict.fromkeys(("c6", "c7", "c9"), ("spec", "initial")),
+    "c8": ("variant", "n_hi"),
+}
 
-    ids: appendix2 (m), appendix3 (start), appendix4 (m), appendix5 (p),
-    appendix6 (key), c3 (p), c3ter, c4 (b, c), c5/c10 (n_hi), c6/c7/c9 (spec,
-    initial).  Aliases: c1 = appendix1, c2 = appendix2, and c3bis = appendix4
-    with 3 rows by default.
+
+def check_table_params(family: str, params) -> None:
+    """Raise ValueError for an unknown family or a parameter it does not read."""
+    if family not in TABLE_PARAMS:
+        raise ValueError(f"unknown table family {family!r}")
+    unread = [f"--{k.replace('_', '-')}" for k in params if k not in TABLE_PARAMS[family]]
+    if unread:
+        raise ValueError(f"table {family} does not read {', '.join(unread)}")
+
+
+def table(family: str, rows: int | None = None, policy=primality.DEFAULT_POLICY, **params):
+    """Reproduce a reference table by id; TABLE_PARAMS lists the ids and the
+    parameters each reads.
+
+    Aliases: c1 = appendix1, c2 = appendix2, and c3bis = appendix4 with 3 rows
+    by default.
     """
+    check_table_params(family, params)
     if family in ("appendix2", "c2"):
         m = int(params.get("m", 5))
         return claims_report(AffineMinus(m=m), 1, rows or 6, policy=policy)
@@ -210,7 +234,6 @@ def table(family: str, rows: int | None = None, policy=primality.DEFAULT_POLICY,
             f = engine.first_zero(RunConfig(initial=n - 2, arg=spec, mode=SIGNED_BACKWARD))
             rep.rows.append(_claim_row(f, spec.claim_values(f), policy))
         return rep
-    raise ValueError(f"unknown table family {family!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 
 
-class NoClaimDefined(Exception):
+class NoClaimDefined(ValueError):
     """The variant has no zero-index prime claim (forward-record families)."""
 
 
@@ -192,6 +192,10 @@ class PowerMinus(Family):
     b: int
     c: int
 
+    def __post_init__(self):
+        if self.b < 1 or self.c < 1:
+            raise ValueError(f"power needs b >= 1 and c >= 1, got b={self.b}, c={self.c}")
+
     def claim_values(self, n: int):
         return [self.b * (n + 1) ** self.c - 1]
 
@@ -207,6 +211,10 @@ class PrimePowerMinusOne(Family):
     """g(n) = n^p - 1; claims n and ((n+1)^p - 1)/n."""
 
     p: int
+
+    def __post_init__(self):
+        if self.p < 1:
+            raise ValueError(f"primepower needs p >= 1, got p={self.p}")
 
     def claim_values(self, n: int):
         return _sorted_claims([n, ((n + 1) ** self.p - 1) // n])

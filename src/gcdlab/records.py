@@ -90,7 +90,10 @@ def harvest_tail(trace, start_index: int, end_index: int) -> list:
 
 def _window_floor(m: int, alpha) -> int:
     """floor(m**alpha) for rational alpha in (0, 1]."""
-    frac = Fraction(alpha).limit_denominator(64)
+    frac = Fraction(alpha)
+    if not 0 < frac <= 1:
+        raise ValueError(f"alpha must be in (0, 1], got {frac}")
+    frac = frac.limit_denominator(64)
     root, _ = integer_nth_root(m**frac.numerator, frac.denominator)
     return root
 

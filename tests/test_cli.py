@@ -1,10 +1,15 @@
-"""CLI: subcommands, formats, determinism, exit codes."""
+"""CLI: subcommands, formats, determinism, exit codes, the flag contract."""
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcdlab import cli
 
@@ -218,3 +223,296 @@ def test_series_use_the_cli_policy(monkeypatch, capsys, argv):
     monkeypatch.setattr(cli.primality, "all_prime", spy)
     assert cli.dispatch(argv + ["--mr-rounds", "7", "--seed", "3", "--workers", "1"]) == 0
     assert seen == {cli.primality.PrimalityPolicy(rounds=7, rng_seed=3)}
+
+
+def dispatch_exit(capsys, argv):
+    """dispatch's exit code, argparse's SystemExit included, and its stderr."""
+    try:
+        code = cli.dispatch(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the flag contract: each command, and each stats kind, accepts only the
+# flags it honours
+
+# every command and stats kind also takes --format and --out
+HONOURED = {
+    "run": ("spec", "initial", "mode", "start-index", "zeros", "budget"),
+    "zeros": ("spec", "initial", "count", "mode", "start-index", "budget"),
+    "table": (
+        "rows", "m", "p", "b", "c", "start", "key", "spec", "initial", "n-hi", "variant",
+        "seed", "mr-rounds",
+    ),
+    "scan": ("n-hi", "workers", "seed", "mr-rounds"),
+    "predict": ("m", "b", "c", "record", "tail"),
+    "goldbach": ("variant", "seed", "mr-rounds"),
+    "stats lalpha": ("alpha", "samples", "lo", "hi", "seed", "mr-rounds"),
+    "stats upsilon": ("b", "c", "n-hi", "workers", "seed", "mr-rounds"),
+    "stats upsilon-twin": ("n-hi", "workers", "seed", "mr-rounds"),
+    "stats upsilon-v": ("count", "seed", "mr-rounds"),
+    "stats goldbach-constant": ("n-hi",),
+    "stats gaps": ("n-hi", "seed", "mr-rounds"),
+    "stats legendre": ("n-hi", "workers"),
+}
+
+# every command used to take the four shared flags, and every stats kind all
+# eight stats flags as well
+SHARED = ("budget", "workers", "seed", "mr-rounds")
+STATS_FLAGS = ("alpha", "samples", "lo", "hi", "b", "c", "n-hi", "count")
+
+
+def removed(command):
+    once = SHARED + (STATS_FLAGS if command.startswith("stats") else ())
+    return [flag for flag in once if flag not in HONOURED[command]]
+
+
+# a cheap valid argv for each command, to which one flag is added
+BASE = {
+    "run": "run --spec affine:m=1 --initial 1 --zeros 1",
+    "zeros": "zeros --spec affine:m=1 --count 1",
+    "table": "table appendix5",
+    "scan": "scan twin --n-hi 10",
+    "predict": "predict affine --m 1 --record 2",
+    "goldbach": "goldbach 10",
+    "stats lalpha": "stats lalpha --samples 3",
+    "stats upsilon": "stats upsilon --n-hi 10",
+    "stats upsilon-twin": "stats upsilon-twin --n-hi 10",
+    "stats upsilon-v": "stats upsilon-v --count 2",
+    "stats goldbach-constant": "stats goldbach-constant --n-hi 10",
+    "stats gaps": "stats gaps --n-hi 10",
+    "stats legendre": "stats legendre --n-hi 10",
+}
+
+
+def declared_flags(parser, command=""):
+    """{command: flag names} as build_parser declares them, stats kinds apart."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            out = {}
+            for name, sub in action.choices.items():
+                out.update(declared_flags(sub, f"{command} {name}".strip()))
+            return out
+    flags = {opt[2:] for action in parser._actions for opt in action.option_strings if opt[1] == "-"}
+    return {command: flags - {"help"}}
+
+
+def test_each_command_declares_the_flags_it_honours():
+    declared = declared_flags(cli.build_parser())
+    assert declared == {c: {"format", "out", *flags} for c, flags in HONOURED.items()}
+    # (command, flag) pairs: 162 when every command took the shared flags
+    assert sum(map(len, declared.values())) == 88
+    assert sum(len(removed(c)) for c in HONOURED) == 162 - 88
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c in HONOURED for f in removed(c)],
+    ids=[f"{c} --{f}" for c in HONOURED for f in removed(c)],
+)
+def test_removed_flag_exits_2(capsys, command, flag):
+    code, err = dispatch_exit(capsys, BASE[command].split() + [f"--{flag}", "1"])
+    assert code == 2
+    assert err == f"gcdlab: error: unrecognized arguments: --{flag} 1\n"
+
+
+def test_flags_match_only_in_full(capsys):
+    # upsilon-v declares --count, and no longer --c; --c must not abbreviate it
+    code, err = dispatch_exit(capsys, ["stats", "upsilon-v", "--c", "3"])
+    assert code == 2
+    assert err == "gcdlab: error: unrecognized arguments: --c 3\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "table appendix2 --rows 0",
+        "table appendix1 --rows 0",
+        "scan twin --n-hi 10 --workers 0",
+        "scan twin --n-hi 10 --workers -3",
+        "stats legendre --n-hi 10 --workers 0",
+    ],
+)
+def test_counts_below_one_exit_2(capsys, argv):
+    *_, flag, value = argv.split()
+    code, err = dispatch_exit(capsys, argv.split())
+    assert code == 2
+    assert err.endswith(f": error: argument {flag}: must be >= 1, got {value}\n")
+    assert err.count("\n") == 1
+
+
+def test_workers_default_to_one(monkeypatch, capsys):
+    monkeypatch.setenv("GCDLAB_WORKERS", "2")  # no longer read
+    seen = []
+    scan = cli.experiments.scan_threshold
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["workers"])
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(cli.experiments, "scan_threshold", spy)
+    assert cli.dispatch(["scan", "twin", "--n-hi", "5"]) == 0
+    assert seen == [1]
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        ("run --spec affine:m=1 --initial 1 --zeros 1", {"budget", "spec"}),
+        ("scan twin --n-hi 5", {"seed", "family", "largest_failure"}),
+        ("predict affine --m 1 --record 2", set()),
+        ("stats upsilon-v --count 2", {"seed", "kind"}),
+        ("stats legendre --n-hi 5", {"kind"}),
+    ],
+)
+def test_metadata_records_only_flags_the_command_has(capsys, argv, keys):
+    code, out = run_cli(capsys, *argv.split(), "--format", "json")
+    assert code == 0
+    assert set(json.loads(out)["metadata"]) == {"argv"} | keys
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("stats lalpha --alpha=-1/2 --samples 3", "alpha must be in (0, 1], got -1/2"),
+        ("stats lalpha --alpha 0 --samples 3", "alpha must be in (0, 1], got 0"),
+        ("stats lalpha --alpha 3/2 --samples 3", "alpha must be in (0, 1], got 3/2"),
+        ("run --spec power:b=2,c=0 --initial 5 --zeros 2", "power needs b >= 1 and c >= 1"),
+        ("run --spec primepower:p=0 --initial 5 --zeros 2", "primepower needs p >= 1"),
+        ("table c4 --c 0", "power needs b >= 1 and c >= 1"),
+        ("stats upsilon --c 0 --n-hi 10", "power needs b >= 1 and c >= 1"),
+        ("predict power --b 0 --c 2 --record 5", "power needs b >= 1 and c >= 1"),
+        ("predict affine --m 2 --b 3 --record 7", "predict affine does not read --b"),
+        ("predict power --b 2 --c 2 --m 1 --record 7", "predict power does not read --m"),
+        ("table appendix2 --p 3", "table appendix2 does not read --p"),
+        ("table appendix1 --m 2 --p 3", "table appendix1 does not read --m, --p"),
+        ("table c6 --spec rowland --initial 7", "rowland claims live on forward records"),
+    ],
+)
+def test_argument_errors_exit_2_in_one_line(capsys, argv, message):
+    code, err = dispatch_exit(capsys, argv.split())
+    assert code == 2
+    assert err.startswith("gcdlab: ") and message in err
+    assert err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: argv drawn from each command's flag grammar and run in-process.
+# An example is clean, or holds one argument error: a flag its command does
+# not read, or one value that no command reading the flag accepts.
+
+SPECS = ("affine:m=1", "affine:m=3", "primepower:p=2", "beatty")
+BAD_SPECS = ("bogus:z=1", "power:b=2,c=0", "power:b=0,c=2", "power:b=2,c=-1", "primepower:p=0", "primepower:p=-1")
+
+# flag -> (strategy of values, values that are argument errors wherever read)
+VALUES = {
+    "spec": (st.sampled_from(SPECS + ("power:b=2,c=3", "rowland")), BAD_SPECS),
+    "initial": (st.integers(0, 60), (-1,)),
+    "mode": (st.sampled_from(("abs", "signed", "forward")), ("up",)),
+    "start-index": (st.integers(-1, 5), ()),
+    "zeros": (st.integers(1, 3), (-1, 0)),
+    "count": (st.integers(-1, 5), ()),
+    "budget": (st.integers(1, 10**4), (-1, 0)),
+    "workers": (st.integers(1, 2), (-3, 0)),
+    "seed": (st.integers(0, 9), ()),
+    "mr-rounds": (st.integers(1, 5), (0,)),
+    "rows": (st.integers(1, 2), (0,)),
+    "m": (st.integers(-2, 6), ()),
+    "p": (st.integers(1, 4), (-1, 0)),
+    "b": (st.integers(1, 3), (-1, 0)),
+    "c": (st.integers(1, 2), (-1, 0)),
+    "start": (st.integers(-1, 20), ()),
+    "key": (st.sampled_from(("beta2-1", "beta3-2")), ("nope",)),
+    "n-hi": (st.integers(-2, 300), ()),
+    "variant": (st.sampled_from(("prime", "twin")), ("x",)),
+    "alpha": (st.sampled_from(("1/2", "1", "1/3")), ("0", "-1/2", "3/2")),
+    "samples": (st.integers(1, 5), (-1, 0)),
+    "lo": (st.sampled_from((-5, 0, 10**3, 10**6)), ()),
+    "hi": (st.sampled_from((3, 10**4, 10**7)), ()),
+    "record": (st.integers(1, 10**6), (-1, 0)),
+    "tail": (st.sampled_from(("", "-3,-13", "-200")), ("3", "-1")),
+    "format": (st.sampled_from(("csv", "json")), ("xml",)),
+}
+OVERRIDES = {
+    ("zeros", "mode"): (st.sampled_from(("abs", "signed")), ("forward",)),
+    ("goldbach", "variant"): (st.sampled_from(("product", "alternating")), ("x",)),
+    # a table of a cubic family runs to a 2*10^9 budget: minutes; rowland
+    # has no claims at zeros
+    ("table", "spec"): (st.sampled_from(SPECS), BAD_SPECS + ("rowland",)),
+}
+
+# table c3 takes minutes at p = 5 (3 rows); every other family stays fast
+POSITIONAL = {
+    "table": st.sampled_from([f for f in cli.experiments.TABLE_PARAMS if f != "c3"]),
+    "scan": st.sampled_from(sorted(cli.experiments._SCAN_FAMILIES)),
+    "predict": st.sampled_from(("affine", "power")),
+    "goldbach": st.integers(2, 300).map(str),
+}
+# flags drawn in every example where the command reads them (n-hi where not
+# listed), so that no default starts a long run and no required flag is missing
+ALWAYS = {
+    "run": ("spec", "initial", "budget"),
+    "zeros": ("spec", "count", "budget"),
+    "predict": ("record", "m", "b", "c"),
+    "table": ("rows", "n-hi"),
+    "stats lalpha": ("samples", "alpha"),
+    "stats upsilon-v": ("count",),
+}
+
+
+def grammar(command, family):
+    """(flags read, flags not read) by a command given its family argument:
+    a table or a prediction reads only its family's parameters."""
+    reads, unread = set(HONOURED[command]) | {"format"}, set(removed(command))
+    if command == "table":
+        params = {"m", "p", "b", "c", "start", "key", "spec", "initial", "n-hi", "variant"}
+        own = {k.replace("_", "-") for k in cli.experiments.TABLE_PARAMS[family]}
+    elif command == "predict":
+        params, own = {"m", "b", "c"}, {"m"} if family == "affine" else {"b", "c"}
+    else:
+        return reads, unread
+    return reads - (params - own), unread | (params - own)
+
+
+@st.composite
+def argvs(draw):
+    """(argv, whether it holds an argument error)."""
+    command = draw(st.sampled_from(sorted(HONOURED)))
+    argv = command.split()
+    family = draw(POSITIONAL[command]) if command in POSITIONAL else None
+    argv += [family] if family else []
+    reads, unread = grammar(command, family)
+    strategies = {f: OVERRIDES.get((command, f), VALUES[f]) for f in reads | unread}
+    flags = [f for f in ALWAYS.get(command, ("n-hi",)) if f in reads]
+    flags += draw(st.lists(st.sampled_from(sorted(reads - set(flags))), unique=True, max_size=3))
+    # a clean example, a flag the command does not read, or one wrong value;
+    # the parametrised test above already tries every unread flag
+    kind = draw(st.sampled_from(("clean", "unread", "value", "value")))
+    errors = sorted(unread) if kind == "unread" else [f for f in flags if strategies[f][1]]
+    wrong = draw(st.sampled_from(errors)) if kind != "clean" and errors else None
+    if wrong in unread:
+        flags.append(wrong)
+    for flag in flags:
+        valid, invalid = strategies[flag]
+        value = draw(st.sampled_from(invalid) if flag == wrong and flag in reads else valid)
+        argv.append(f"--{flag}={value}")
+    return argv, wrong is not None
+
+
+@given(argvs())
+@settings(max_examples=600, deadline=None)
+def test_fuzzed_argv_exits_0_2_or_3(example):
+    argv, wrong = example
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.dispatch(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert code == 2 or not wrong, argv
+    if code == 2:
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())

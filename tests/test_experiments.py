@@ -78,6 +78,27 @@ def test_table_unknown_family():
         table("nope")
 
 
+@pytest.mark.parametrize(
+    "family, params, unread",
+    [
+        ("appendix2", {"p": 3}, "--p"),
+        ("c8", {"n_hi": 5, "m": 2}, "--m"),
+        ("c3ter", {"n_hi": 9, "key": "x"}, "--n-hi, --key"),
+    ],
+)
+def test_table_rejects_parameters_its_family_does_not_read(monkeypatch, family, params, unread):
+    monkeypatch.setattr(experiments.engine, "run", lambda config: pytest.fail("ran before the check"))
+    with pytest.raises(ValueError, match=f"^table {family} does not read {unread}$"):
+        table(family, **params)
+
+
+def test_every_table_family_runs_with_its_parameters():
+    required = {"spec": "affine:m=1", "initial": 1}
+    for family, names in experiments.TABLE_PARAMS.items():
+        params = {k: required[k] for k in names if k in required}
+        assert len(table(family, rows=1, **params).rows) >= 1, family
+
+
 def test_goldbach_g_variants():
     g, claims, ap = goldbach_g(2209, "alternating")
     assert claims == [g + 1, 2 * 2209 - g - 1]

@@ -197,3 +197,12 @@ def test_first_imprecise_matches_floor_pi_times():
     far = G.first_imprecise(10**12)
     assert far >= 10**12 and _imprecise(far)
     assert not any(_imprecise(j) for j in range(10**12, far))
+
+
+@pytest.mark.parametrize(
+    "spec", ["power:b=2,c=0", "power:b=0,c=2", "power:b=2,c=-1", "primepower:p=0", "primepower:p=-1"]
+)
+def test_exponents_below_one_rejected(spec):
+    # power:b=2,c=0 once built g = 2n - 1 instead of b - 1
+    with pytest.raises(G.SpecParseError, match=r"needs .* >= 1"):
+        G.parse_spec(spec)

@@ -146,3 +146,10 @@ def test_estimate_L_alpha_deterministic():
     est = records.estimate_L_alpha(Fraction(1, 2), ms)
     assert 0 <= est <= 1
     assert est == records.estimate_L_alpha(Fraction(1, 2), ms)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(-1, 2), 0, Fraction(3, 2)])
+def test_alpha_outside_0_1_rejected(alpha):
+    # a negative alpha once reached integer_nth_root with a float
+    with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\]"):
+        records.estimate_L_alpha(alpha, [10**6])
