@@ -4,9 +4,10 @@ Each command, and each stats kind, accepts only the flags it honours, spelt
 in full; any other flag is an argument error, and so is a table or predict
 parameter that the chosen family does not read.
 
-Exit codes: 0 success, 2 argument error (also a Beatty run that reaches an
-index n where pi*n is too close to an integer for the stored pi), 3 budget
-exhausted (partial output is still emitted, flagged in the metadata).
+The Beatty digit is exact for indices |n| < 10^25, far beyond any budget.
+
+Exit codes: 0 success, 2 argument error, 3 budget exhausted (partial output
+is still emitted, flagged in the metadata).
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import sys
 
 from . import engine, experiments, primality, records
 from .engine import RunConfig
-from .generators import AffineMinus, BeattyPrecisionError, PowerMinus, SpecParseError, parse_spec
+from .generators import AffineMinus, PowerMinus, SpecParseError, parse_spec
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -353,7 +354,7 @@ def dispatch(argv=None) -> int:
     args.argv = received  # the metadata records the command line as given
     try:
         return _DISPATCH[args.cmd](args)
-    except (SpecParseError, ValueError, KeyError, BeattyPrecisionError) as exc:
+    except (SpecParseError, ValueError, KeyError) as exc:
         print(f"gcdlab: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

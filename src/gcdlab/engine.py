@@ -24,10 +24,8 @@ tests the plateau's next max(_SCAN_MIN, 2^(bits/4 - _SCAN_SHIFT)) indices with
 one gcd each, bits being the largest value's bit length.  It factors only if
 the plateau is longer than that and no index in it is an event.
 
-A plateau is stepped naively instead when a = 0, when sel raises
-BeattyPrecisionError, or when it reaches the family's first_unsafe_index
-(where evaluating g raises): the run then raises exactly where, and only
-where, one-step-at-a-time stepping would.
+A plateau from a = 0 has no x to jump on, so it is stepped one index at a
+time instead.
 
 The factorizations are done in-house: values below 2^20 are read off
 `primality._spf_table`, the smallest-prime-factor (SPF) table that is the
@@ -44,7 +42,7 @@ from functools import cache, lru_cache
 from itertools import cycle
 from math import gcd
 
-from .generators import BeattyPrecisionError, eval_form, poly_eval
+from .generators import eval_form, poly_eval
 from .primality import _SMALL_SIEVE_LIMIT as _SPF_LIMIT, _spf_table, is_prime
 
 ABS_BACKWARD = "abs"
@@ -270,16 +268,18 @@ def run(config: RunConfig) -> Trace:
     if not forward and want is not None and config.initial == 0:
         raise NonterminatingZeroRequest("zero requested but the run starts at zero")
     trace = Trace(forward_steps=[] if forward else None)
-    arg = config.arg
-    sel, polys = arg.residue_polys()
+    sel, polys = config.arg.residue_polys()
     step = 1 if forward else -1
     a, n = config.initial, config.start_index
     limit = n + config.budget
-    # evaluating g raises first at this index; a plateau reaching it is stepped
-    unsafe = getattr(arg, "first_unsafe_index", lambda n: limit + 1)(n)
     while n < limit:
         if signed and a == 0:
             break
+        if not a:
+            n, a, stop = _step_until_event(config, trace, n, a, limit)
+            if stop:
+                break
+            continue
         # a(i) = a + step*(i - n) up to the next event, where a prime p divides
         # both a(i - 1) and g(i); so i = x (mod p) and p | polys[sel(i)](x)
         x = n + 1 - step * a
@@ -287,30 +287,20 @@ def run(config: RunConfig) -> Trace:
         top = hi = limit
         if not forward and x - 1 <= limit:
             top, hi = x - 1, x - 2
-        end = None
-        if a:
-            try:
-                # forward from a = 1 the first step is a unit step whatever g is
-                event = _next_event(n + (forward and a == 1), x, hi, sel, polys)
-                end = top if event is None else event[0]
-            except BeattyPrecisionError:
-                pass
-        if end is None or unsafe <= end:
-            n, a, stop = _step_until_event(config, trace, n, a, limit)
-            if stop:
-                break
-            continue
+        # forward from a = 1 the first step is a unit step whatever g is
+        event = _next_event(n + (forward and a == 1), x, hi, sel, polys)
         if event is None:
-            a += step * (end - n)
-            n = end
+            a += step * (top - n)
+            n = top
         else:
-            # a(end - 1) = +-(x - end), so its gcd with g(end) is its gcd with
-            # the class value at x that the event finder factored
-            prev = a + step * (end - 1 - n)
-            g = gcd(prev, event[1])
+            # a(i - 1) = +-(x - i), so its gcd with g(i) is its gcd with the
+            # class value q at x that the event finder factored
+            i, q = event
+            prev = a + step * (i - 1 - n)
+            g = gcd(prev, q)
             if g <= 1:
-                raise EngineInvariantError(f"event detection found a unit step at n={end}")
-            n, a = end, prev + step * g
+                raise EngineInvariantError(f"event detection found a unit step at n={i}")
+            n, a = i, prev + step * g
             trace.large_steps.append((n, a - prev))
             if forward:
                 trace.forward_steps.append((n, g))
@@ -326,11 +316,9 @@ def run(config: RunConfig) -> Trace:
 
 
 def _step_until_event(config, trace, n, a, limit):
-    """Naive stepping, for the three plateaus the event finder does not
-    serve: a = 0, a selector that raises BeattyPrecisionError, and a plateau
-    that reaches the family's first_unsafe_index.  Returns (n, a, stop) after
-    a non-unit step, a step from or to 0, or at the budget limit; stop says
-    every requested zero has been found."""
+    """Naive stepping from a = 0, the one state the event finder does not
+    serve.  Returns (n, a, stop) after a non-unit step, a step from or to 0,
+    or at the budget limit; stop says every requested zero has been found."""
     form = config.arg.residue_polys()
     forward = config.mode == FORWARD_ADD
     while n < limit:

@@ -394,7 +394,8 @@ def _upsilon_chunk(args):
 
 def upsilon(n_hi: int, b: int = 2, c: int = 2, workers: int = 1, policy=primality.DEFAULT_POLICY):
     """Prefix means of the first-zero prime indicator for b*n^c - 1 runs."""
-    jobs = [(PowerMinus(b=b, c=c), lo, hi, policy) for lo, hi in _spans(1, n_hi, workers)]
+    spec = PowerMinus(b=b, c=c)  # checks b and c even when the range is empty
+    jobs = [(spec, lo, hi, policy) for lo, hi in _spans(1, n_hi, workers)]
     return _prefix_means(_pool_map(_upsilon_chunk, jobs, workers))
 
 

@@ -22,10 +22,6 @@ class SpecParseError(ValueError):
     """Malformed spec string."""
 
 
-class BeattyPrecisionError(Exception):
-    """pi*n came suspiciously close to an integer at the working precision."""
-
-
 # ---------------------------------------------------------------------------
 # polynomial helpers (coefficients stored low degree first)
 
@@ -97,54 +93,17 @@ def poly_str(coeffs) -> str:
 
 _PI_NUM = 314159265358979323846264338327950288419716939937510582097494
 _PI_DEN = 10**59
-# Guard margin: reject if pi*n is within 1e-6 of an integer at this precision.
-_PI_GUARD = 10**53
+# |_PI_NUM - pi*_PI_DEN| < 0.46, so the stored floor can differ from floor(pi*n)
+# only where ||pi*n|| < 0.46*|n|/10^59.  Below 7.4e25 the convergents of pi
+# give ||pi*n|| >= 4.2e-27, so every |n| < _PI_DOMAIN is exact.
+_PI_DOMAIN = 10**25
 
 
 def floor_pi_times(n: int) -> int:
-    """Exact floor(pi*n) with a loudness guard against precision loss."""
-    if n == 0:
-        return 0
-    prod = _PI_NUM * n
-    rem = prod % _PI_DEN
-    if rem < _PI_GUARD or _PI_DEN - rem < _PI_GUARD:
-        raise BeattyPrecisionError(
-            f"pi*{n} is within 1e-6 of an integer at the stored precision"
-        )
-    return prod // _PI_DEN
-
-
-def _least_multiple_in(a: int, m: int, lo: int, hi: int) -> int | None:
-    """Least x >= 0 with lo <= a*x mod m <= hi, for 0 <= lo <= hi < m, or None.
-
-    Euclid-style: if no multiple of a lies in [lo, hi], x = ceil((lo + m*y)/a)
-    for the least y with (-m)*y mod a in [lo mod a, hi mod a].  Reflecting a
-    to m - a first keeps a <= m/2, so each recursion at least halves m."""
-    if lo == 0:
-        return 0
-    a %= m
-    if 2 * a > m:
-        return _least_multiple_in(m - a, m, m - hi, m - lo)
-    if a == 0:
-        return None
-    x = -(-lo // a)
-    if a * x <= hi:
-        return x
-    y = _least_multiple_in(-m % a, a, lo % a, hi % a)
-    return None if y is None else -(-(lo + m * y) // a)
-
-
-def first_imprecise(lo: int) -> int:
-    """Least j >= max(lo, 1) for which floor_pi_times(j) raises.
-
-    floor_pi_times(j) raises iff (_PI_NUM*j + _PI_GUARD - 1) mod _PI_DEN
-    <= 2*_PI_GUARD - 2, a window that _least_multiple_in finds exactly."""
-    lo = max(lo, 1)
-    width = 2 * _PI_GUARD - 2
-    b = (_PI_NUM * lo + _PI_GUARD - 1) % _PI_DEN
-    if b <= width:
-        return lo
-    return lo + _least_multiple_in(_PI_NUM, _PI_DEN, _PI_DEN - b, _PI_DEN - b + width)
+    """Exact floor(pi*n) for |n| < 10^25."""
+    if abs(n) >= _PI_DOMAIN:
+        raise ValueError(f"floor(pi*n) is exact only for |n| < 10^25, got n={n}")
+    return _PI_NUM * n // _PI_DEN
 
 
 def _sorted_claims(values):
@@ -462,11 +421,6 @@ class BeattyTwin(Family):
     def select(n: int) -> int:
         """r_n / 2: 1 where g(n) = n + 2, 0 where g(n) = n."""
         return floor_pi_times(n) - floor_pi_times(n - 1) - 3
-
-    @staticmethod
-    def first_unsafe_index(n: int) -> int:
-        """Least i > n at which eval_arg(i) may raise BeattyPrecisionError."""
-        return n + 1 if n < 0 else max(first_imprecise(n), n + 1)
 
     def claim_values(self, n: int):
         return [n + 1, n + 3]

@@ -144,5 +144,7 @@ def estimate_L_alpha(
 
 def sample_ms(count: int, lo: int, hi: int, seed: int = 0) -> list:
     """Deterministic sample of starting multipliers in (lo, hi)."""
+    if not 0 <= lo < hi - 1:
+        raise ValueError(f"--lo and --hi need 0 <= lo and lo + 1 < hi, got lo={lo}, hi={hi}")
     rng = random.Random(seed)
     return [rng.randrange(lo + 1, hi) for _ in range(count)]

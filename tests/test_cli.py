@@ -8,7 +8,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcdlab import cli
@@ -174,13 +174,35 @@ def test_cli_runs_without_sympy(capsys):
     assert proc.stdout == expected
 
 
-def test_beatty_precision_error_exit_2(capsys):
+def test_beatty_descent_past_364913_exit_0(capsys):
+    # pi*364913 is within 6e-7 of an integer; the stored pi is exact there
     argv = ["run", "--spec", "beatty", "--initial", "400000", "--mode", "signed"]
     code = cli.dispatch(argv + ["--budget", "1000000"])
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    rows = out.splitlines()
+    assert rows[:2] == ["event,index,value", "zero,399490,0"]
+    assert rows[-1] == "final,399490,0"
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        ("stats upsilon --n-hi -5", "x,y"),
+        ("stats gaps --n-hi 0", "x,y"),
+        ("scan twin --n-hi -3", "N,failed"),
+    ],
+)
+def test_empty_n_hi_range_prints_the_header(capsys, argv, header):
+    # the golden fixture pins stats upsilon --n-hi 0 and scan triplet --n-hi 1
+    assert run_cli(capsys, *argv.split()) == (0, header + "\n")
+
+
+@pytest.mark.parametrize("lo, hi", [(5, 3), (-5, 3), (4, 5)])
+def test_lalpha_range_names_lo_and_hi(capsys, lo, hi):
+    code, err = dispatch_exit(capsys, ["stats", "lalpha", "--samples", "3", "--lo", str(lo), "--hi", str(hi)])
     assert code == 2
-    assert err.startswith("gcdlab: pi*364913 is within 1e-6")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err == f"gcdlab: --lo and --hi need 0 <= lo and lo + 1 < hi, got lo={lo}, hi={hi}\n"
 
 
 def test_table_missing_parameter_named(capsys):
@@ -383,6 +405,8 @@ def test_metadata_records_only_flags_the_command_has(capsys, argv, keys):
         ("run --spec primepower:p=0 --initial 5 --zeros 2", "primepower needs p >= 1"),
         ("table c4 --c 0", "power needs b >= 1 and c >= 1"),
         ("stats upsilon --c 0 --n-hi 10", "power needs b >= 1 and c >= 1"),
+        ("stats upsilon --n-hi=0 --b=-1", "power needs b >= 1 and c >= 1"),
+        ("stats upsilon --n-hi=0 --c=0", "power needs b >= 1 and c >= 1"),
         ("predict power --b 0 --c 2 --record 5", "power needs b >= 1 and c >= 1"),
         ("predict affine --m 2 --b 3 --record 7", "predict affine does not read --b"),
         ("predict power --b 2 --c 2 --m 1 --record 7", "predict power does not read --m"),
@@ -502,6 +526,9 @@ def argvs(draw):
 
 
 @given(argvs())
+# an empty --n-hi range once skipped the check of --b and --c
+@example((["stats", "upsilon", "--n-hi=0", "--b=-1"], True))
+@example((["stats", "upsilon", "--n-hi=0", "--c=0"], True))
 @settings(max_examples=600, deadline=None)
 def test_fuzzed_argv_exits_0_2_or_3(example):
     argv, wrong = example

@@ -2,7 +2,7 @@
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcdlab import engine, primality
@@ -22,7 +22,6 @@ from gcdlab.generators import (
     ShiftedIndex,
     parse_spec,
 )
-from gcdlab.generators import BeattyPrecisionError
 from test_generators import ALL_SPECS, CLOSED_FORM
 
 
@@ -172,7 +171,7 @@ def naive_forward_records(initial, g_of, budget, start=1):
     return records, row, shev
 
 
-def assert_backward_matches_naive(initial, arg, budget, mode, start, want, g_of=None):
+def assert_backward_matches_naive(initial, arg, budget, mode, start, want, g_of):
     cfg = RunConfig(
         initial=initial, arg=arg, mode=mode, start_index=start, stop_after_zeros=want, budget=budget
     )
@@ -181,11 +180,14 @@ def assert_backward_matches_naive(initial, arg, budget, mode, start, want, g_of=
             engine.run(cfg)
         return
     tr = engine.run(cfg)
-    zs, steps, n, a = naive_backward(initial, g_of or arg.eval_arg, budget, mode, start, want)
+    zs, steps, n, a = naive_backward(initial, g_of, budget, mode, start, want)
     assert (tr.zero_indices, tr.large_steps, tr.final_index, tr.final_value) == (zs, steps, n, a)
     assert tr.iterations_used == n - start
     assert tr.budget_exhausted == (n >= start + budget and want is not None and len(zs) < want)
     assert tr.forward_diffs == []
+
+
+BEATTY_G = CLOSED_FORM[BeattyTwin()]  # g from a 90-digit Machin pi
 
 
 @given(
@@ -197,58 +199,54 @@ def assert_backward_matches_naive(initial, arg, budget, mode, start, want, g_of=
 )
 @settings(max_examples=150, deadline=None)
 def test_beatty_jump_equals_naive(initial, budget, mode, start, want):
-    assert_backward_matches_naive(initial, BeattyTwin(), budget, mode, start, want)
+    assert_backward_matches_naive(initial, BeattyTwin(), budget, mode, start, want, BEATTY_G)
 
 
 def test_beatty_first_zero():
     cfg = RunConfig(initial=98, arg=BeattyTwin(), mode=engine.SIGNED_BACKWARD)
-    zs, _, _, _ = naive_backward(98, BeattyTwin().eval_arg, 99, "signed", want=1)
+    zs, _, _, _ = naive_backward(98, BEATTY_G, 99, "signed", want=1)
     assert engine.first_zero(cfg) == zs[0]
 
 
-def _outcome(fn):
-    try:
-        return fn()
-    except BeattyPrecisionError as exc:
-        return str(exc)
+def test_beatty_descent_from_400000_equals_naive():
+    # steps through 364913, where pi*n is within 6e-7 of an integer
+    assert_backward_matches_naive(400_000, BeattyTwin(), 10**6, engine.SIGNED_BACKWARD, 1, None, BEATTY_G)
 
 
-def test_beatty_precision_error_where_naive_raises():
-    # pi * 364913 is within 1e-6 of an integer: the naive descent raises there
-    arg = BeattyTwin()
-    naive = _outcome(lambda: naive_backward(400_000, arg.eval_arg, 10**6, "signed"))
-    jump = _outcome(
-        lambda: engine.run(RunConfig(initial=400_000, arg=arg, mode=engine.SIGNED_BACKWARD, budget=10**6))
-    )
-    assert naive == jump == "pi*364913 is within 1e-6 of an integer at the stored precision"
+def assert_beatty_matches_naive(initial, budget, mode, start):
+    if mode == engine.FORWARD_ADD:
+        tr = engine.run(RunConfig(initial=initial, arg=BeattyTwin(), mode=mode, start_index=start, budget=budget))
+        assert (tr.large_steps, tr.final_index, tr.final_value) == naive_forward(initial, BEATTY_G, budget, start)[1:]
+    else:
+        assert_backward_matches_naive(initial, BeattyTwin(), budget, mode, start, None, BEATTY_G)
 
 
 @given(
     initial=st.integers(0, 3000),
     budget=st.integers(1, 4000),
     mode=st.sampled_from([engine.ABS_BACKWARD, engine.SIGNED_BACKWARD, engine.FORWARD_ADD]),
-    start=st.integers(364913 - 4000, 364913 + 2),
+    near=st.sampled_from([364913, 1360120, 1725033]),
+    offset=st.integers(-4000, 2),
 )
+# runs whose event finder walks past 364913 before it settles on an earlier event
+@example(151, 2000, engine.SIGNED_BACKWARD, 364913, -18)
+@example(150, 2000, engine.SIGNED_BACKWARD, 364913, -17)
+@example(153, 2000, engine.SIGNED_BACKWARD, 364913, -17)
 @settings(max_examples=80, deadline=None)
-def test_beatty_raises_only_where_naive_raises(initial, budget, mode, start):
-    arg = BeattyTwin()
-    cfg = RunConfig(initial=initial, arg=arg, mode=mode, start_index=start, budget=budget)
-    if mode == engine.FORWARD_ADD:
-        naive = _outcome(lambda: naive_forward(initial, arg.eval_arg, budget, start)[1:])
-        jump = _outcome(lambda: (lambda t: (t.large_steps, t.final_index, t.final_value))(engine.run(cfg)))
-    else:
-        naive = _outcome(lambda: naive_backward(initial, arg.eval_arg, budget, mode, start))
-        jump = _outcome(
-            lambda: (lambda t: (t.zero_indices, t.large_steps, t.final_index, t.final_value))(engine.run(cfg))
-        )
-    assert jump == (naive if isinstance(naive, str) else tuple(naive))
+def test_beatty_jump_equals_naive_across_convergents(initial, budget, mode, near, offset):
+    # pi*n comes within 6e-7 of an integer at these convergent denominators
+    assert_beatty_matches_naive(initial, budget, mode, near + offset)
 
 
-def test_beatty_walk_through_imprecise_index():
-    # the event finder's walk reaches 364913, where g cannot be evaluated, but
-    # stepping meets an event and then a zero before it, and returns
-    for start, initial in [(364895, 151), (364896, 150), (364896, 153)]:
-        assert_backward_matches_naive(initial, BeattyTwin(), 2000, engine.SIGNED_BACKWARD, start, None)
+@given(
+    initial=st.integers(0, 3000),
+    budget=st.integers(1, 4000),
+    mode=st.sampled_from([engine.ABS_BACKWARD, engine.SIGNED_BACKWARD, engine.FORWARD_ADD]),
+    start=st.integers(-3000, 0),
+)
+@settings(max_examples=150, deadline=None)
+def test_beatty_negative_start_jump_equals_naive(initial, budget, mode, start):
+    assert_beatty_matches_naive(initial, budget, mode, start)
 
 
 # each family with g written out by hand, as the naive reference steps it
@@ -260,7 +258,7 @@ FORWARD_SPECS = {
     Polynomial(coeffs=(0, 1, 1)): lambda n: n + n * n,
     Polynomial(coeffs=(-6, 1)): lambda n: n - 6,
     ShiftedIndex(): lambda n: n - 1,
-    BeattyTwin(): CLOSED_FORM[BeattyTwin()],
+    BeattyTwin(): BEATTY_G,
 }
 
 

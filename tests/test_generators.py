@@ -42,9 +42,47 @@ def _sign(n):
     return -1 if n % 2 else 1
 
 
+def _machin_pi(digits):
+    """floor(pi * 10**digits) to within one unit, from Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239) in integer arithmetic with ten guard
+    digits: a pi that owes nothing to generators._PI_NUM."""
+    unity = 10 ** (digits + 10)
+
+    def atan_inv(x):
+        total = term = unity // x
+        k, sign = 1, 1
+        while term:
+            term //= x * x
+            k, sign = k + 2, -sign
+            total += sign * (term // k)
+        return total
+
+    return (16 * atan_inv(5) - 4 * atan_inv(239)) // 10**10
+
+
+PI_90 = _machin_pi(90)
+
+
+def floor_pi(n):
+    """floor(pi*n) from the 90-digit Machin pi; exact while ||pi*n|| > 2|n|/10^90."""
+    return PI_90 * n // 10**90
+
+
+def _pi_convergents(limit):
+    """(p, q) for the convergents p/q of pi with q <= limit, from PI_90."""
+    num, den = PI_90, 10**90
+    (p0, p1), (q0, q1) = (0, 1), (1, 0)
+    out = []
+    while True:
+        k, (num, den) = num // den, (den, num % den)
+        (p0, p1), (q0, q1) = (p1, k * p1 + p0), (q1, k * q1 + q0)
+        if q1 > limit:
+            return out
+        out.append((p1, q1))
+
+
 def _beatty_r(n):
-    # float floor(pi*n) is exact for n < 10000 (test above)
-    return 2 * (math.floor(math.pi * n) - math.floor(math.pi * (n - 1)) - 3)
+    return 2 * (floor_pi(n) - floor_pi(n - 1) - 3)
 
 
 # every family with g written out from its class docstring, as an oracle for
@@ -166,37 +204,44 @@ def test_factored_product_property():
     assert spec.claim_values(3) == [17, 19]
 
 
-@given(
-    m=st.integers(1, 300),
-    a=st.integers(0, 900),
-    bounds=st.tuples(st.integers(0, 299), st.integers(0, 299)),
-)
-@settings(max_examples=300, deadline=None)
-def test_least_multiple_in_matches_brute_force(m, a, bounds):
-    lo, hi = sorted(b % m for b in bounds)
-    want = next((x for x in range(m) if lo <= a * x % m <= hi), None)
-    assert G._least_multiple_in(a, m, lo, hi) == want
+def test_floor_pi_times_matches_machin_pi_at_convergents():
+    # pi*q comes closest to an integer at the convergent denominators q; the
+    # first three of those above 3*10^5 once raised a false precision alarm
+    qs = [q for _, q in _pi_convergents(10**25)]
+    assert {364913, 1360120, 1725033} <= set(qs)
+    for q in qs:
+        for n in (q - 1, q, q + 1, -q):
+            assert G.floor_pi_times(n) == floor_pi(n), n
 
 
-def _imprecise(j):
-    try:
-        G.floor_pi_times(j)
-    except G.BeattyPrecisionError:
-        return True
-    return False
+@given(st.integers(-(10**24), 10**24))
+@settings(max_examples=500, deadline=None)
+def test_floor_pi_times_matches_machin_pi(n):
+    assert G.floor_pi_times(n) == floor_pi(n)
 
 
-def test_first_imprecise_matches_floor_pi_times():
-    bad = [364913, 1360120, 1725033]
-    assert all(_imprecise(j) for j in bad)
-    for lo in [-5, 0, 1, 364000, 364912, 364913, 364914, 1360120, 1360121, 1725033]:
-        assert G.first_imprecise(lo) == next(j for j in bad if j >= max(lo, 1))
-    # nothing else raises in windows around them
-    for j0 in bad:
-        assert [j for j in range(j0 - 3000, j0 + 3000) if _imprecise(j)] == [j0]
-    far = G.first_imprecise(10**12)
-    assert far >= 10**12 and _imprecise(far)
-    assert not any(_imprecise(j) for j in range(10**12, far))
+def test_stored_pi_is_exact_below_its_domain():
+    # the stored floor can differ from floor(pi*n) only where an integer lies
+    # between pi*n and _PI_NUM*n/10^59, i.e. where ||pi*n|| < err*|n|/10^90
+    err = abs(G._PI_NUM * 10**31 - PI_90) + 2  # |_PI_NUM/10^59 - pi| in units of 10^-90
+    assert err < 46 * 10**29  # |_PI_NUM - pi*10^59| < 0.46
+    # For 0 < n < q_(k+1), ||pi*n|| >= ||pi*q_k|| = |pi*q_k - p_k| (best
+    # approximation, Hardy & Wright ch. X); q_k is the last denominator below
+    # the domain bound and q_(k+1) is beyond it.
+    convergents = _pi_convergents(10**26)
+    k = max(j for j, (_, q) in enumerate(convergents) if q < G._PI_DOMAIN)
+    (p, q), (_, q_next) = convergents[k], convergents[k + 1]
+    assert q_next >= G._PI_DOMAIN
+    gap = abs(q * PI_90 - p * 10**90) - 2 * q  # ||pi*q|| in units of 10^-90, less PI_90's error
+    assert gap > err * G._PI_DOMAIN
+
+
+def test_floor_pi_times_rejects_indices_outside_its_domain():
+    assert G.floor_pi_times(10**25 - 1) == floor_pi(10**25 - 1)
+    assert G.floor_pi_times(1 - 10**25) == floor_pi(1 - 10**25)
+    for n in (10**25, -(10**25), 10**40):
+        with pytest.raises(ValueError, match=r"\|n\| < 10\^25"):
+            G.floor_pi_times(n)
 
 
 @pytest.mark.parametrize(
