@@ -316,24 +316,20 @@ def run(config: RunConfig) -> Trace:
 
 
 def _step_until_event(config, trace, n, a, limit):
-    """Naive stepping from a = 0, the one state the event finder does not
-    serve.  Returns (n, a, stop) after a non-unit step, a step from or to 0,
-    or at the budget limit; stop says every requested zero has been found."""
-    form = config.arg.residue_polys()
-    forward = config.mode == FORWARD_ADD
-    while n < limit:
-        n += 1
-        prev = a
-        g = gcd(prev, abs(eval_form(form, n)))
-        a = prev + g if forward else abs(prev - g)
-        if forward and g != 1:
-            trace.forward_steps.append((n, g))
-        if abs(a - prev) > 1:
-            trace.large_steps.append((n, a - prev))
-        if a == 0 and not forward:
-            trace.zero_indices.append(n)
-        if g != 1 or not (prev and a):
-            break
+    """One naive step from a = 0 (run calls it there alone, below limit), the
+    one state the event finder does not serve: a(n + 1) = gcd(0, g(n + 1))
+    = |g(n + 1)| in every mode.  Returns (n, a, stop); stop says every
+    requested zero has been found.  perfbench/tracer.py wraps it by this
+    name and reads n from its arguments, hence the unused a and limit."""
+    n += 1
+    a = abs(eval_form(config.arg.residue_polys(), n))
+    if config.mode == FORWARD_ADD:
+        if a != 1:
+            trace.forward_steps.append((n, a))
+    elif a == 0:
+        trace.zero_indices.append(n)
+    if a > 1:
+        trace.large_steps.append((n, a))
     want = config.stop_after_zeros
     return n, a, want is not None and len(trace.zero_indices) >= want
 
@@ -347,6 +343,23 @@ def first_zero(config: RunConfig) -> int | None:
     guard = min(config.budget, config.initial + config.start_index + 1)
     trace = run(replace(config, stop_after_zeros=1, budget=guard))
     return trace.zero_indices[0] if trace.zero_indices else None
+
+
+def first_zeros(runs, start_index: int = 1) -> list:
+    """The first zero of the signed descent from a(start_index) = initial, for
+    each (spec, initial) in runs: start_index for an initial of 0, else
+    first_zero's.  A descent loses at least 1 a step, so it reaches 0 within
+    first_zero's guard; one that does not raises EngineInvariantError."""
+    out = []
+    for spec, initial in runs:
+        z = start_index
+        if initial:  # the guard as budget, so DEFAULT_BUDGET does not cap it
+            guard = initial + start_index + 1
+            z = first_zero(RunConfig(initial, spec, SIGNED_BACKWARD, start_index, budget=guard))
+        if z is None:
+            raise EngineInvariantError(f"the descent of {spec.spec_str()} from {initial} found no zero")
+        out.append(z)
+    return out
 
 
 def zeros(config: RunConfig, count: int) -> list:

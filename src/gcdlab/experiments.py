@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from multiprocessing import Pool
 
 from . import engine, primality
-from .engine import RunConfig, SIGNED_BACKWARD
+from .engine import RunConfig
 from .generators import (
     AffineMinus,
     AlternatingLinear,
@@ -174,7 +175,9 @@ def table(family: str, rows: int | None = None, policy=primality.DEFAULT_POLICY,
     parameters each reads.
 
     Aliases: c1 = appendix1, c2 = appendix2, and c3bis = appendix4 with 3 rows
-    by default.
+    by default.  c1 = appendix1 holds in this function only: the CLI's
+    `table appendix1` prints the b1 ratio table of appendix1() instead, so
+    its output differs from `table c1`'s.
     """
     check_table_params(family, params)
     if family in ("appendix2", "c2"):
@@ -230,9 +233,8 @@ def table(family: str, rows: int | None = None, policy=primality.DEFAULT_POLICY,
         n_hi = int(params.get("n_hi", (rows or 20) + 3))
         spec = ShiftedIndex() if variant == "prime" else AlternatingLinear()
         rep = ExperimentReport(spec=f"c8-{variant}", initial=-1, budget=TABLE_BUDGET)
-        for n in range(4, n_hi + 1):
-            f = engine.first_zero(RunConfig(initial=n - 2, arg=spec, mode=SIGNED_BACKWARD))
-            rep.rows.append(_claim_row(f, spec.claim_values(f), policy))
+        fs = engine.first_zeros((spec, n - 2) for n in range(4, n_hi + 1))
+        rep.rows = [_claim_row(f, spec.claim_values(f), policy) for f in fs]
         return rep
 
 
@@ -250,48 +252,26 @@ def goldbach_g(N: int, variant: str = "alternating", policy=primality.DEFAULT_PO
         spec = GoldbachAlt(N=N)
     else:
         raise ValueError(f"unknown goldbach variant {variant!r}")
-    g = _first_zero_from(spec, N - 2)
-    if g is None:
-        raise RuntimeError("descent failed to reach zero (engine bug)")
+    (g,) = engine.first_zeros([(spec, N - 2)])
     claims = spec.claim_values(g)
     return g, claims, primality.all_prime(claims, policy)
-
-
-def _first_zero_from(spec, initial: int, start_index: int = 1) -> int | None:
-    """first_zero treating an initial of 0 as an immediate zero at start_index."""
-    if initial == 0:
-        return start_index
-    return engine.first_zero(
-        RunConfig(
-            initial=initial,
-            arg=spec,
-            mode=SIGNED_BACKWARD,
-            start_index=start_index,
-            budget=initial + start_index + 1,
-        )
-    )
 
 
 # ---------------------------------------------------------------------------
 # threshold scans
 
-# family -> (make spec, initial offset); N fails where the spec's claim at
-# the first zero is not all prime
+# family -> (spec, or spec of N, initial offset); N fails where the spec's
+# claim at the first zero is not all prime.  A spec shared by every N is
+# pickled once per pool job.
 _SCAN_FAMILIES = {
     # with initial N-1 the twin scan's largest failure is 97
-    "twin": (lambda N: AlternatingLinear(), -1),
-    "triplet": (lambda N: PeriodicAffine(m=1, offsets=(2, 6, 0)), -6),
-    "beatty": (lambda N: BeattyTwin(), -2),
+    "twin": (AlternatingLinear(), -1),
+    "triplet": (PeriodicAffine(m=1, offsets=(2, 6, 0)), -6),
+    "beatty": (BeattyTwin(), -2),
     # the alternating Goldbach scan uses swapped parity roles and initial
     # N-3; its largest failure is then 2207
     "goldbach": (lambda N: GoldbachAlt(N=N, flip=True), -3),
 }
-
-
-def _spans(lo: int, hi: int, workers: int) -> list:
-    """lo..hi cut into consecutive (first, last) spans, about eight per worker."""
-    size = max(1, (hi - lo + 1) // (max(1, workers) * 8))
-    return [(a, min(a + size - 1, hi)) for a in range(lo, hi + 1, size)]
 
 
 def _pool_map(fn, jobs: list, workers: int) -> list:
@@ -305,19 +285,19 @@ def _pool_map(fn, jobs: list, workers: int) -> list:
     return [x for part in parts for x in part]
 
 
-def _scan_chunk(args):
-    family, lo, hi, policy = args
-    make_spec, offset = _SCAN_FAMILIES[family]
-    fails = []
-    for N in range(lo, hi + 1):
-        initial = N + offset
-        if initial < 0:
-            continue
-        spec = make_spec(N)
-        f = _first_zero_from(spec, initial)
-        if not primality.all_prime(spec.claim_values(f), policy):
-            fails.append(N)
-    return fails
+def _claims_hold(job) -> list:
+    """The pool worker: all_prime of each run's claim at its first zero, for
+    job = (runs, start_index, policy) with runs as engine.first_zeros takes."""
+    runs, start_index, policy = job
+    zs = engine.first_zeros(runs, start_index)
+    return [primality.all_prime(spec.claim_values(z), policy) for (spec, _), z in zip(runs, zs)]
+
+
+def _claims_hold_map(runs: list, workers: int, policy, start_index: int = 1) -> list:
+    """_claims_hold over runs, cut into consecutive jobs, about eight per worker."""
+    size = max(1, len(runs) // (max(1, workers) * 8))
+    jobs = [(runs[k : k + size], start_index, policy) for k in range(0, len(runs), size)]
+    return _pool_map(_claims_hold, jobs, workers)
 
 
 def scan_threshold(
@@ -327,8 +307,11 @@ def scan_threshold(
     if family not in _SCAN_FAMILIES:
         raise ValueError(f"unknown scan family {family!r}")
     n_lo = 2
-    jobs = [(family, lo, hi, policy) for lo, hi in _spans(n_lo, n_hi, workers)]
-    fails = _pool_map(_scan_chunk, jobs, workers)
+    spec, offset = _SCAN_FAMILIES[family]
+    ns = range(max(n_lo, -offset), n_hi + 1)
+    runs = [(spec(N) if callable(spec) else spec, N + offset) for N in ns]
+    holds = _claims_hold_map(runs, workers, policy)
+    fails = [N for N, ok in zip(ns, holds) if not ok]
     return ThresholdScanReport(
         family=family,
         n_lo=n_lo,
@@ -354,7 +337,7 @@ def conj8_property_check(N: int, variant: str = "prime", policy=primality.DEFAUL
     if variant == "prime":
         if N < 4:
             return out
-        f = _first_zero_from(ShiftedIndex(), N - 2)
+        (f,) = engine.first_zeros([(ShiftedIndex(), N - 2)])
         out.append(("3", d(f) == 1))
         out.append(("4", (f == N - 1) == (d(N - 1) == 1)))
         out.append(("5", (f == N - 2) == (N - 2 > 2 and d(N - 2) == 1)))
@@ -369,7 +352,7 @@ def conj8_property_check(N: int, variant: str = "prime", policy=primality.DEFAUL
     elif variant == "twin":
         if N < 4:
             return out
-        h = _first_zero_from(AlternatingLinear(), N - 2)
+        (h,) = engine.first_zeros([(AlternatingLinear(), N - 2)])
         if N >= 99:
             out.append(("3", d(h) == 1 and d(h + 2) == 1))
         out.append(("4", (h == N - 1) == (d(N - 1) == 1 and d(N + 1) == 1)))
@@ -386,43 +369,20 @@ def conj8_property_check(N: int, variant: str = "prime", policy=primality.DEFAUL
 # upsilon estimators
 
 
-def _upsilon_chunk(args):
-    spec, lo, hi, policy = args
-    claims = (spec.claim_values(_first_zero_from(spec, k)) for k in range(lo, hi + 1))
-    return [primality.all_prime(c, policy) for c in claims]
-
-
 def upsilon(n_hi: int, b: int = 2, c: int = 2, workers: int = 1, policy=primality.DEFAULT_POLICY):
     """Prefix means of the first-zero prime indicator for b*n^c - 1 runs."""
     spec = PowerMinus(b=b, c=c)  # checks b and c even when the range is empty
-    jobs = [(spec, lo, hi, policy) for lo, hi in _spans(1, n_hi, workers)]
-    return _prefix_means(_pool_map(_upsilon_chunk, jobs, workers))
+    return _prefix_means(_claims_hold_map([(spec, k) for k in range(1, n_hi + 1)], workers, policy))
 
 
 def _prefix_means(hits):
-    out = []
-    total = 0
-    for k, h in enumerate(hits, start=1):
-        total += h
-        out.append((k, total / k))
-    return out
-
-
-def _twin_hit(initial: int, policy) -> int:
-    spec = AlternatingQuad()
-    r = _first_zero_from(spec, initial, start_index=0)
-    return primality.all_prime(spec.claim_values(r), policy)
-
-
-def _upsilon_twin_chunk(args):
-    lo, hi, policy = args
-    return [_twin_hit(k, policy) for k in range(lo, hi + 1)]
+    return [(k, total / k) for k, total in enumerate(accumulate(hits), start=1)]
 
 
 def upsilon_twin(n_hi: int, workers: int = 1, policy=primality.DEFAULT_POLICY):
     """Prefix means of the twin-pair indicator for 2n^2 +/- 1 runs from a(0)=k."""
-    jobs = [(lo, hi, policy) for lo, hi in _spans(1, n_hi, workers)]
-    return _prefix_means(_pool_map(_upsilon_twin_chunk, jobs, workers))
+    runs = [(AlternatingQuad(), k) for k in range(1, n_hi + 1)]
+    return _prefix_means(_claims_hold_map(runs, workers, policy, start_index=0))
 
 
 def v_sequence(count: int, policy=primality.DEFAULT_POLICY):
@@ -439,8 +399,8 @@ def v_sequence(count: int, policy=primality.DEFAULT_POLICY):
 
 def upsilon_v(count: int, policy=primality.DEFAULT_POLICY):
     """Prefix means of the twin indicator for runs started at a(0) = 2 v(k)^2."""
-    hits = [_twin_hit(2 * v * v, policy) for v in v_sequence(count, policy)]
-    return _prefix_means(hits)
+    runs = [(AlternatingQuad(), 2 * v * v) for v in v_sequence(count, policy)]
+    return _prefix_means(_claims_hold((runs, 0, policy)))
 
 
 # ---------------------------------------------------------------------------
@@ -450,13 +410,9 @@ def upsilon_v(count: int, policy=primality.DEFAULT_POLICY):
 def goldbach_constant_series(n_hi: int):
     """Partial sums n^(-1/2) * sum_{k=3..n} (1 - g_k/(k-1)) for the
     alternating Goldbach recursion in its nominal orientation."""
-    out = []
-    total = 0.0
-    for k in range(3, n_hi + 1):
-        g = _first_zero_from(GoldbachAlt(N=k), k - 2)
-        total += 1.0 - g / (k - 1)
-        out.append((k, total / math.sqrt(k)))
-    return out
+    gs = engine.first_zeros((GoldbachAlt(N=k), k - 2) for k in range(3, n_hi + 1))
+    terms = accumulate(1.0 - g / (k - 1) for k, g in enumerate(gs, start=3))
+    return [(k, total / math.sqrt(k)) for k, total in enumerate(terms, start=3)]
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +465,8 @@ def legendre_series(n_hi: int, n_lo: int = 2, workers: int = 1):
 def gap_diagnostics(n_hi: int, policy=primality.DEFAULT_POLICY):
     """(N, (N - f(N))/sqrt(N), (N - prev_prime(N))/sqrt(N)) for N = 3..n_hi."""
     out = []
-    for N in range(3, n_hi + 1):
-        f = _first_zero_from(ShiftedIndex(), N - 2)
+    fs = engine.first_zeros((ShiftedIndex(), N - 2) for N in range(3, n_hi + 1))
+    for N, f in enumerate(fs, start=3):
         pp = primality.prev_prime(N, policy)
         rt = math.sqrt(N)
         out.append((N, (N - f) / rt, (N - pp) / rt))
@@ -522,11 +478,7 @@ def conj7_f_and_L(spec, n_hi: int, policy=primality.DEFAULT_POLICY):
     estimate of the simultaneous-primality proportion L(P)."""
     if isinstance(spec, str):
         spec = parse_spec(spec)
-    f_series = []
-    hits = []
-    for k in range(1, n_hi + 1):
-        f = _first_zero_from(spec, k)
-        f_series.append((k, f))
-        hits.append(primality.all_prime(spec.claim_values(f), policy))
-    l_series = _prefix_means(hits)
+    fs = engine.first_zeros((spec, k) for k in range(1, n_hi + 1))
+    f_series = list(enumerate(fs, start=1))
+    l_series = _prefix_means(primality.all_prime(spec.claim_values(f), policy) for f in fs)
     return f_series, l_series[-1][1] if l_series else 0.0

@@ -10,6 +10,7 @@ Family base.
 """
 from __future__ import annotations
 
+import inspect
 import re
 from dataclasses import dataclass, field
 
@@ -460,51 +461,66 @@ _NO_ARG = {
 }
 
 
-def _kv_pairs(body: str) -> dict:
-    out = {}
-    for part in body.split(","):
-        if "=" not in part:
-            raise SpecParseError(f"expected key=value, got {part!r}")
-        k, v = part.split("=", 1)
-        out[k] = v
-    return out
+def _ints(v: str) -> list:
+    return [int(x) for x in v.split(";")]
+
+
+def _polys(v: str) -> list:
+    return [parse_poly(q) for q in v.split("|")]
+
+
+def _flip(v: str) -> bool:
+    if v not in ("0", "1"):
+        raise ValueError(f"flip must be 0 or 1, got {v!r}")
+    return v == "1"
+
+
+# tag -> builder; the builder's parameters are the keys the tag reads, and
+# one with a default may be left out
+_KEYED = {
+    "affine": lambda m: AffineMinus(m=int(m)),
+    "power": lambda b, c: PowerMinus(b=int(b), c=int(c)),
+    "primepower": lambda p: PrimePowerMinusOne(p=int(p)),
+    "quadshift": lambda m: QuadShift(m=int(m)),
+    "poly": lambda p: Polynomial(coeffs=parse_poly(p)),
+    "factored": lambda q: FactoredPolynomial(factors=_polys(q)),
+    "periodic": lambda m, offsets: PeriodicAffine(m=int(m), offsets=_ints(offsets)),
+    "periodic-factored": lambda q, schedule: PeriodicFactorSchedule(
+        factors=_polys(q), schedule=_ints(schedule)
+    ),
+    "goldbach": lambda N: GoldbachProduct(N=int(N)),
+    "goldbach-alt": lambda N, flip="0": GoldbachAlt(N=int(N), flip=_flip(flip)),
+}
 
 
 def parse_spec(text: str):
-    """Parse the compact CLI spec form, e.g. 'affine:m=5' or 'periodic:m=1,offsets=0;2'."""
+    """Parse the compact CLI spec form, e.g. 'affine:m=5' or 'periodic:m=1,offsets=0;2'.
+
+    A key the tag does not read, a key given twice and a missing key are
+    each a SpecParseError that names the key."""
     text = text.strip()
     tag, _, body = text.partition(":")
+    if tag in _NO_ARG:
+        if body:
+            raise SpecParseError(f"{tag} takes no parameters")
+        return _NO_ARG[tag]()
+    if tag not in _KEYED:
+        raise SpecParseError(f"unknown spec tag {tag!r}")
+    keys = inspect.signature(_KEYED[tag]).parameters
+    given = {}
+    for part in body.split(",") if body else ():
+        key, eq, value = part.partition("=")
+        if not eq:
+            raise SpecParseError(f"bad spec {text!r}: expected key=value, got {part!r}")
+        if key in given:
+            raise SpecParseError(f"bad spec {text!r}: key {key!r} is given twice")
+        if key not in keys:
+            raise SpecParseError(f"bad spec {text!r}: {tag} reads {', '.join(keys)}, not {key!r}")
+        given[key] = value
+    missing = [key for key, p in keys.items() if p.default is p.empty and key not in given]
+    if missing:
+        raise SpecParseError(f"bad spec {text!r}: {tag} needs key {', '.join(missing)}")
     try:
-        if tag in _NO_ARG:
-            if body:
-                raise SpecParseError(f"{tag} takes no parameters")
-            return _NO_ARG[tag]()
-        kv = _kv_pairs(body)
-        if tag == "affine":
-            return AffineMinus(m=int(kv["m"]))
-        if tag == "power":
-            return PowerMinus(b=int(kv["b"]), c=int(kv["c"]))
-        if tag == "primepower":
-            return PrimePowerMinusOne(p=int(kv["p"]))
-        if tag == "quadshift":
-            return QuadShift(m=int(kv["m"]))
-        if tag == "poly":
-            return Polynomial(coeffs=parse_poly(kv["p"]))
-        if tag == "factored":
-            return FactoredPolynomial(factors=[parse_poly(q) for q in kv["q"].split("|")])
-        if tag == "periodic":
-            return PeriodicAffine(m=int(kv["m"]), offsets=[int(b) for b in kv["offsets"].split(";")])
-        if tag == "periodic-factored":
-            return PeriodicFactorSchedule(
-                factors=[parse_poly(q) for q in kv["q"].split("|")],
-                schedule=[int(j) for j in kv["schedule"].split(";")],
-            )
-        if tag == "goldbach":
-            return GoldbachProduct(N=int(kv["N"]))
-        if tag == "goldbach-alt":
-            return GoldbachAlt(N=int(kv["N"]), flip=bool(int(kv.get("flip", "0"))))
-    except SpecParseError:
-        raise
-    except (KeyError, ValueError) as exc:
+        return _KEYED[tag](**given)
+    except ValueError as exc:
         raise SpecParseError(f"bad spec {text!r}: {exc}") from exc
-    raise SpecParseError(f"unknown spec tag {tag!r}")

@@ -413,6 +413,11 @@ def test_metadata_records_only_flags_the_command_has(capsys, argv, keys):
         ("table appendix2 --p 3", "table appendix2 does not read --p"),
         ("table appendix1 --m 2 --p 3", "table appendix1 does not read --m, --p"),
         ("table c6 --spec rowland --initial 7", "rowland claims live on forward records"),
+        ("zeros --spec affine:m=5,z=1 --count 1", "affine reads m, not 'z'"),
+        ("zeros --spec poly:p=x^2+1,q=3 --count 1", "poly reads p, not 'q'"),
+        ("zeros --spec affine:m=5,m=6 --count 1", "key 'm' is given twice"),
+        ("zeros --spec goldbach-alt:N=10,flip=2 --count 1", "flip must be 0 or 1, got '2'"),
+        ("zeros --spec power:b=2 --count 1", "power needs key c"),
     ],
 )
 def test_argument_errors_exit_2_in_one_line(capsys, argv, message):

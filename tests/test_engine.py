@@ -13,6 +13,8 @@ from gcdlab.generators import (
     BeattyTwin,
     FactoredPolynomial,
     GoldbachAlt,
+    GoldbachProduct,
+    NoClaimDefined,
     PeriodicAffine,
     Polynomial,
     PowerMinus,
@@ -137,6 +139,51 @@ def test_first_zero_guard():
             RunConfig(initial=initial, arg=spec, mode=engine.SIGNED_BACKWARD)
         )
         assert z is not None and z <= initial + 2
+
+
+def naive_first_zero(spec, initial, start):
+    """Reference signed descent stepping spec.eval_arg: its first zero."""
+    a, n = initial, start
+    while a:
+        n += 1
+        a -= gcd(a, spec.eval_arg(n))
+    return n
+
+
+def _has_claim(spec) -> bool:
+    try:
+        spec.claim_values(2)
+    except NoClaimDefined:
+        return False
+    return True
+
+
+CLAIM_SPECS = [s for s in ALL_SPECS if _has_claim(s)]
+GOLDBACH_SPECS = st.builds(GoldbachProduct, N=st.integers(2, 3000)) | st.builds(
+    GoldbachAlt, N=st.integers(2, 3000), flip=st.booleans()
+)
+
+
+@given(
+    spec=st.sampled_from(CLAIM_SPECS) | GOLDBACH_SPECS,
+    initials=st.lists(st.integers(0, 3000), min_size=1, max_size=4),
+    start=st.sampled_from((0, 1)),
+)
+@settings(max_examples=300, deadline=None)
+def test_first_zeros_equal_naive_signed_descent(spec, initials, start):
+    runs = [(spec, k) for k in initials]
+    assert engine.first_zeros(runs, start) == [naive_first_zero(spec, k, start) for k in initials]
+
+
+def test_first_zeros_defaults_and_empty():
+    assert engine.first_zeros([]) == []
+    assert engine.first_zeros((ShiftedIndex(), k) for k in (0, 5)) == [1, 5]
+
+
+def test_first_zeros_without_a_zero_is_an_invariant_error(monkeypatch):
+    monkeypatch.setattr(engine, "first_zero", lambda config: None)
+    with pytest.raises(engine.EngineInvariantError, match="alt-linear from 7"):
+        engine.first_zeros([(AlternatingLinear(), 7)])
 
 
 def naive_forward(initial, g_of, budget, start=1):

@@ -134,6 +134,26 @@ def test_scan_threshold_workers_agree():
     assert a.failing_N == b.failing_N
 
 
+# each result as a function of the worker count
+WORKER_RUNS = {
+    **{
+        f"scan-{family}": (lambda w, family=family: scan_threshold(family, 500, workers=w))
+        for family in ("twin", "triplet", "beatty", "goldbach")
+    },
+    "scan-empty": lambda w: scan_threshold("triplet", 5, workers=w),
+    "upsilon": lambda w: upsilon(300, 2, 3, workers=w),
+    "upsilon-twin": lambda w: upsilon_twin(300, workers=w),
+}
+
+
+@pytest.mark.parametrize("name", WORKER_RUNS)
+def test_results_do_not_depend_on_the_worker_count(name):
+    run = WORKER_RUNS[name]
+    one = run(1)
+    assert run(2) == one
+    assert run(3) == one
+
+
 def test_scan_unknown_family():
     with pytest.raises(ValueError):
         scan_threshold("nope", 100)

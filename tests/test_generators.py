@@ -1,5 +1,6 @@
 """Argument families: evaluation, claims, residue classes, serialization."""
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -152,6 +153,24 @@ def test_parse_spec_errors():
     for bad in ["nope", "affine:z=1", "affine:m", "periodic:m=1", "triplet:m=1"]:
         with pytest.raises(G.SpecParseError):
             G.parse_spec(bad)
+    for bad, message in [
+        ("affine:m=5,z=1", "affine reads m, not 'z'"),
+        ("poly:p=x^2+1,q=3", "poly reads p, not 'q'"),
+        ("affine:m=5,m=6", "key 'm' is given twice"),
+        ("goldbach-alt:N=10,flip=2", "flip must be 0 or 1, got '2'"),
+        ("goldbach-alt:N=10,flip=true", "flip must be 0 or 1"),
+        ("power:b=2", "power needs key c"),
+        ("periodic-factored:q=x+1", "periodic-factored needs key schedule"),
+        ("affine", "affine needs key m"),
+    ]:
+        with pytest.raises(G.SpecParseError, match=re.escape(message)):
+            G.parse_spec(bad)
+
+
+def test_goldbach_alt_flip_reads_0_or_1():
+    assert G.parse_spec("goldbach-alt:N=10") == G.GoldbachAlt(N=10)
+    assert G.parse_spec("goldbach-alt:N=10,flip=0") == G.GoldbachAlt(N=10)
+    assert G.parse_spec("goldbach-alt:N=10,flip=1") == G.GoldbachAlt(N=10, flip=True)
 
 
 def test_claim_examples():
