@@ -181,7 +181,7 @@ def _cmd_run(args) -> int:
     cfg = RunConfig(
         initial=args.initial,
         arg=parse_spec(args.spec),
-        mode={"abs": engine.ABS_BACKWARD, "signed": engine.SIGNED_BACKWARD, "forward": engine.FORWARD_ADD}[args.mode],
+        mode=args.mode,
         start_index=args.start_index,
         stop_after_zeros=args.zeros,
         budget=args.budget,
@@ -219,7 +219,7 @@ def _cmd_zeros(args) -> int:
     cfg = RunConfig(
         initial=args.initial,
         arg=parse_spec(args.spec),
-        mode=engine.ABS_BACKWARD if args.mode == "abs" else engine.SIGNED_BACKWARD,
+        mode=args.mode,
         start_index=args.start_index,
         budget=args.budget,
     )
@@ -232,11 +232,8 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    params = {
-        key: getattr(args, key)
-        for key in ("m", "p", "b", "c", "start", "key", "spec", "initial", "n_hi", "variant")
-        if getattr(args, key) is not None
-    }
+    names = set().union(*experiments.TABLE_PARAMS.values())
+    params = {key: value for key, value in vars(args).items() if key in names and value is not None}
     if args.family == "appendix1":
         experiments.check_table_params(args.family, params)  # table() checks the others
         rows = experiments.appendix1(args.rows or 20, policy=_policy(args))

@@ -3,8 +3,9 @@ statistical series (upsilon estimators, Goldbach constant, gap diagnostics,
 Legendre variation counts)."""
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from multiprocessing import Pool
 
@@ -34,9 +35,7 @@ TABLE_BUDGET = 2 * 10**9
 @dataclass
 class ExperimentReport:
     spec: str
-    initial: int
-    budget: int
-    rows: list = field(default_factory=list)  # (index, claims, deltas, all_prime)
+    rows: list  # (index, claims, deltas, all_prime)
     budget_exhausted: bool = False
 
     def to_csv(self) -> str:
@@ -85,32 +84,15 @@ def series_to_csv(series) -> str:
 
 
 def claims_report(
-    spec,
-    initial: int,
-    rows: int,
-    mode: str = engine.ABS_BACKWARD,
-    start_index: int = 1,
-    budget: int = TABLE_BUDGET,
-    policy: primality.PrimalityPolicy = primality.DEFAULT_POLICY,
+    spec, initial: int, rows: int, start_index: int = 1, policy=primality.DEFAULT_POLICY
 ) -> ExperimentReport:
-    """Run to the first `rows` zeros and report each zero's claim list."""
-    cfg = RunConfig(
-        initial=initial,
-        arg=spec,
-        mode=mode,
-        start_index=start_index,
-        stop_after_zeros=rows,
-        budget=budget,
+    """Run the absolute descent to its first `rows` zeros, within
+    TABLE_BUDGET steps, and report each zero's claim list."""
+    trace = engine.run(
+        RunConfig(initial, spec, engine.ABS_BACKWARD, start_index, stop_after_zeros=rows, budget=TABLE_BUDGET)
     )
-    trace = engine.run(cfg)
-    report = ExperimentReport(
-        spec=spec.spec_str(),
-        initial=initial,
-        budget=budget,
-        budget_exhausted=trace.budget_exhausted,
-    )
-    report.rows = [_claim_row(z, spec.claim_values(z), policy) for z in trace.zero_indices]
-    return report
+    claim_rows = [_claim_row(z, spec.claim_values(z), policy) for z in trace.zero_indices]
+    return ExperimentReport(spec.spec_str(), claim_rows, trace.budget_exhausted)
 
 
 def _claim_row(index: int, claims, policy) -> tuple:
@@ -121,9 +103,8 @@ def _claim_row(index: int, claims, policy) -> tuple:
 
 def appendix1(count: int = 20, policy=primality.DEFAULT_POLICY):
     """Rows (k, b1(k), delta, b1(k)/2**k) of the m=1 zero-index table."""
-    rep = claims_report(AffineMinus(m=1), 1, count, policy=policy)
     out = []
-    for k, (z, claims, deltas, ap) in enumerate(rep.rows, start=1):
+    for k, (z, claims, deltas, ap) in enumerate(table("appendix1", count, policy).rows, start=1):
         out.append((k, z, ap, z / 2.0**k))
     return out
 
@@ -146,96 +127,96 @@ APPENDIX6_TABLES = {
 }
 
 
-# the parameters each table family reads, besides rows; families that read
-# the same ones share a line
+def _appendix6(key="beta2-1"):
+    if key not in APPENDIX6_TABLES:
+        raise ValueError(f"unknown appendix6 key {key!r}; known keys: {', '.join(APPENDIX6_TABLES)}")
+    return (*APPENDIX6_TABLES[key], 8)
+
+
+def _quad_shift(default_rows: int):
+    """The builder of appendix4 (2 rows by default) or c3bis (3 rows)."""
+    return lambda m=2: (QuadShift(m=int(m)), 4 * int(m) ** 2, default_rows)
+
+
+def _first_zero_report(name: str, spec_of, first: int, n_hi, rows, policy) -> ExperimentReport:
+    """The first zero f of spec_of(N) from a(1) = N - 2, and its claim, for
+    N = first..n_hi (first..first + 19 when n_hi is None), at most `rows` rows."""
+    stop = first + (rows or 20) if n_hi is None else int(n_hi) + 1
+    runs = [(spec_of(n), n - 2) for n in range(first, stop)[: rows or None]]
+    fs = engine.first_zeros(runs)
+    return ExperimentReport(name, [_claim_row(f, spec.claim_values(f), policy) for (spec, _), f in zip(runs, fs)])
+
+
+def _c8(rows, policy, variant="prime", n_hi=None):
+    spec = ShiftedIndex() if variant == "prime" else AlternatingLinear()
+    return _first_zero_report(f"c8-{variant}", lambda n: spec, 4, n_hi, rows, policy)
+
+
+# family -> builder; the builder's keyword parameters, with their defaults,
+# are the parameters the family reads.  A claims table's builder returns
+# (spec, initial, default rows[, start index]); the builders of c5, c10 and
+# c8 also take rows and policy and return the report.
+_TABLES = {
+    **dict.fromkeys(("appendix1", "c1"), lambda: (AffineMinus(m=1), 1, 10)),
+    **dict.fromkeys(("appendix2", "c2"), lambda m=5: (AffineMinus(m=int(m)), 1, 6)),
+    "appendix3": lambda start=10: (PrimePowerMinusOne(p=2), int(start), 3),
+    "appendix4": _quad_shift(2),
+    "c3bis": _quad_shift(3),
+    "appendix5": lambda p=2: (PowerMinus(b=int(p), c=2), int(p), 3),
+    "appendix6": _appendix6,
+    "c3": lambda p=2: (PrimePowerMinusOne(p=int(p)), 1, 3),
+    # the triplet table starts its count at index 0
+    "c3ter": lambda: (TripletProduct(), 4, 3, 0),
+    "c4": lambda b=2, c=2, initial=None: (
+        PowerMinus(b=int(b), c=int(c)), int(b if initial is None else initial), 3
+    ),
+    **dict.fromkeys(("c6", "c7", "c9"), lambda spec, initial: (parse_spec(spec), int(initial), 3)),
+    # c5 and c10: g_N of the Goldbach recursions and its decomposition claim
+    "c5": lambda rows, policy, n_hi=None: _first_zero_report(
+        "c5", lambda n: GoldbachProduct(N=n), 2, n_hi, rows, policy
+    ),
+    "c10": lambda rows, policy, n_hi=None: _first_zero_report(
+        "c10", lambda n: GoldbachAlt(N=n), 2, n_hi, rows, policy
+    ),
+    "c8": _c8,
+}
+
+# the parameters each table family reads, besides rows
 TABLE_PARAMS = {
-    **dict.fromkeys(("appendix1", "c1", "c3ter"), ()),
-    **dict.fromkeys(("appendix2", "c2", "appendix4", "c3bis"), ("m",)),
-    "appendix3": ("start",),
-    **dict.fromkeys(("appendix5", "c3"), ("p",)),
-    "appendix6": ("key",),
-    "c4": ("b", "c", "initial"),
-    **dict.fromkeys(("c5", "c10"), ("n_hi",)),
-    **dict.fromkeys(("c6", "c7", "c9"), ("spec", "initial")),
-    "c8": ("variant", "n_hi"),
+    family: tuple(k for k in inspect.signature(build).parameters if k not in ("rows", "policy"))
+    for family, build in _TABLES.items()
 }
 
 
 def check_table_params(family: str, params) -> None:
-    """Raise ValueError for an unknown family or a parameter it does not read."""
+    """Raise ValueError for an unknown family, a parameter it does not read,
+    or a parameter without a default that is not given."""
     if family not in TABLE_PARAMS:
         raise ValueError(f"unknown table family {family!r}")
-    unread = [f"--{k.replace('_', '-')}" for k in params if k not in TABLE_PARAMS[family]]
+    flag = lambda k: f"--{k.replace('_', '-')}"
+    unread = [flag(k) for k in params if k not in TABLE_PARAMS[family]]
     if unread:
         raise ValueError(f"table {family} does not read {', '.join(unread)}")
+    keys = inspect.signature(_TABLES[family]).parameters
+    missing = [flag(k) for k in TABLE_PARAMS[family] if keys[k].default is keys[k].empty and k not in params]
+    if missing:
+        raise ValueError(f"table {family} requires {', '.join(missing)}")
 
 
 def table(family: str, rows: int | None = None, policy=primality.DEFAULT_POLICY, **params):
-    """Reproduce a reference table by id; TABLE_PARAMS lists the ids and the
-    parameters each reads.
+    """Reproduce a reference table by id; _TABLES holds each id's builder,
+    and TABLE_PARAMS the parameters each reads.
 
-    Aliases: c1 = appendix1, c2 = appendix2, and c3bis = appendix4 with 3 rows
-    by default.  c1 = appendix1 holds in this function only: the CLI's
-    `table appendix1` prints the b1 ratio table of appendix1() instead, so
-    its output differs from `table c1`'s.
+    c1 = appendix1 holds in this function only: the CLI's `table appendix1`
+    prints the b1 ratio table of appendix1() instead, so its output differs
+    from `table c1`'s.
     """
     check_table_params(family, params)
-    if family in ("appendix2", "c2"):
-        m = int(params.get("m", 5))
-        return claims_report(AffineMinus(m=m), 1, rows or 6, policy=policy)
-    if family == "appendix3":
-        start = int(params.get("start", 10))
-        return claims_report(PrimePowerMinusOne(p=2), start, rows or 3, policy=policy)
-    if family in ("appendix4", "c3bis"):
-        m = int(params.get("m", 2))
-        rows = rows or (3 if family == "c3bis" else 2)
-        return claims_report(QuadShift(m=m), 4 * m * m, rows, policy=policy)
-    if family == "appendix5":
-        p = int(params.get("p", 2))
-        return claims_report(PowerMinus(b=p, c=2), p, rows or 3, policy=policy)
-    if family == "appendix6":
-        key = params.get("key", "beta2-1")
-        if key not in APPENDIX6_TABLES:
-            known = ", ".join(APPENDIX6_TABLES)
-            raise ValueError(f"unknown appendix6 key {key!r}; known keys: {known}")
-        spec, initial = APPENDIX6_TABLES[key]
-        return claims_report(spec, initial, rows or 8, policy=policy)
-    if family in ("appendix1", "c1"):
-        return claims_report(AffineMinus(m=1), 1, rows or 10, policy=policy)
-    if family == "c3":
-        p = int(params.get("p", 2))
-        return claims_report(PrimePowerMinusOne(p=p), 1, rows or 3, policy=policy)
-    if family == "c3ter":
-        # the triplet table starts its count at index 0
-        return claims_report(TripletProduct(), 4, rows or 3, start_index=0, policy=policy)
-    if family == "c4":
-        b = int(params.get("b", 2))
-        c = int(params.get("c", 2))
-        initial = int(params.get("initial", b))
-        return claims_report(PowerMinus(b=b, c=c), initial, rows or 3, policy=policy)
-    if family in ("c6", "c7", "c9"):
-        for name in ("spec", "initial"):
-            if name not in params:
-                raise ValueError(f"table {family} requires --{name}")
-        spec = parse_spec(params["spec"])
-        initial = int(params["initial"])
-        return claims_report(spec, initial, rows or 3, policy=policy)
-    if family in ("c5", "c10"):
-        variant = "product" if family == "c5" else "alternating"
-        n_hi = int(params.get("n_hi", (rows or 20) + 1))
-        rep = ExperimentReport(spec=family, initial=-1, budget=TABLE_BUDGET)
-        for n in range(2, n_hi + 1):
-            g, claims, _ = goldbach_g(n, variant, policy=policy)
-            rep.rows.append(_claim_row(g, claims, policy))
-        return rep
-    if family == "c8":
-        variant = params.get("variant", "prime")
-        n_hi = int(params.get("n_hi", (rows or 20) + 3))
-        spec = ShiftedIndex() if variant == "prime" else AlternatingLinear()
-        rep = ExperimentReport(spec=f"c8-{variant}", initial=-1, budget=TABLE_BUDGET)
-        fs = engine.first_zeros((spec, n - 2) for n in range(4, n_hi + 1))
-        rep.rows = [_claim_row(f, spec.claim_values(f), policy) for f in fs]
-        return rep
+    build = _TABLES[family]
+    if "rows" in inspect.signature(build).parameters:
+        return build(rows, policy, **params)
+    spec, initial, default_rows, *start_index = build(**params)
+    return claims_report(spec, initial, rows or default_rows, *start_index, policy=policy)
 
 
 # ---------------------------------------------------------------------------

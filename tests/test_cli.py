@@ -206,9 +206,31 @@ def test_lalpha_range_names_lo_and_hi(capsys, lo, hi):
 
 
 def test_table_missing_parameter_named(capsys):
-    code = cli.dispatch(["table", "c6", "--initial", "3"])
-    assert code == 2
-    assert capsys.readouterr().err == "gcdlab: table c6 requires --spec\n"
+    for argv, missing in [
+        ("table c6 --initial 3", "c6 requires --spec"),
+        ("table c7 --initial 3", "c7 requires --spec"),
+        ("table c9 --initial 3", "c9 requires --spec"),
+        ("table c9 --spec alt-quad", "c9 requires --initial"),
+        ("table c7", "c7 requires --spec, --initial"),
+    ]:
+        code = cli.dispatch(argv.split())
+        assert code == 2
+        assert capsys.readouterr().err == f"gcdlab: table {missing}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        ("table c8 --rows 1 --n-hi 8", 1),
+        ("table c5 --rows 1 --n-hi 5", 1),
+        ("table c10 --rows 100 --n-hi 4", 3),
+    ],
+)
+def test_table_rows_caps_n_hi(capsys, argv, rows):
+    # N runs up to --n-hi, and --rows caps the row count
+    code, out = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert len(out.splitlines()) == 1 + rows
 
 
 def test_table_unknown_key_lists_known_keys(capsys):

@@ -1,8 +1,9 @@
 """Golden CLI output: the sha256 of stdout for a fixed argv corpus.
 
 The hashes were recorded before the sieves, the worker-pool code and the
-table aliases were merged, so any byte that changes in these outputs shows
-up here.  The corpus covers every table alias pair, the scans and series at
+table aliases were merged, and those of the other table families before the
+table registry was, so any byte that changes in these outputs shows up here.
+The corpus covers every table family and alias pair, the scans and series at
 several worker counts (including empty job lists), and a Legendre series
 whose sieve window crosses 2^20 (at N = 1023).
 """
@@ -22,6 +23,20 @@ GOLDEN = {
     "table c3ter": "4cd1d8cf97ed8a43ae70132d515bfadf482f2f2048dd83b0100a21ec468ad1c2",
     "table appendix6 --key beta3-2": "e9adf9854e9f4bd315b7e83902aff18192d89aa4815d937190413f7f3a9ae0bb",
     "table c6 --spec affine:m=3 --initial 1": "6212d73778726d619c62433da0c83d9aa87583cba9b5dd8766feef81624b01d5",
+    "table appendix3": "42ac51e03e38918c221e49b3434f7414352872acb01e113098a63bd9c72b65a8",
+    "table appendix3 --start 12": "42ac51e03e38918c221e49b3434f7414352872acb01e113098a63bd9c72b65a8",
+    "table appendix5 --p 3": "8e65a49dd5dd23be3a12adc5f9f9eeef69cf533ecc797e288b1b90cc159bce33",
+    "table c3 --p 3": "5c86ad98ac93cfebd3a0b038160ac1e8ef94107a32bc05cb9328d1dee82faf40",
+    "table c4": "eee083d08d4ff9d58a6260d703bf89e1e57cbf7dc0351f2c755e920565b0be1b",
+    "table c4 --b 3 --c 2 --initial 5": "2c1c02091e06c2835555f913bceadd10b9022114fb4ff6b72e4d437389449b26",
+    "table c5": "7d0faf28950ad202a0b37eeeccaaa7984e7797a802d85d4a385dd5d74b9e024b",
+    "table c10": "6ff2ace5649f032bbf3049b2ebab1ab05839f5d62f45fdd0b84741fcec3b5d87",
+    "table c8": "e4339d45a402d9b04d15910e40162f01ef2749a28d6fe87885e31a4c9f987adf",
+    "table c8 --variant twin": "9a1d5b3f712fdf1df1431a98f1e206f8396394d9d4f80b67ffe2998be6ad6806",
+    "table c7 --spec quadshift:m=1 --initial 4": "c8a0a13c31de69dd2072c229a29021067728bb6b8d1ab1572b64fb06dc4ce3c1",
+    "table c9 --spec alt-quad --initial 8": "b88f91df18fffb06c44847b4abcd33dc218fec250c0455113d1091eeaff95a69",
+    "table appendix6": "9f58019646c5a0b748614a34910efd95b2ee8aa4a693178b753992449dfa32df",
+    "table c3ter --format json": "5e7aa02f17755a96119400d96f5a7f6ea63028fa688b6adcb3356f22ef7e9b06",
     "scan triplet --n-hi 600 --workers 1": "74612b86840ce242e54c8d3c20a2e2ab48031700099a03de3b589fa0a8cfe7d0",
     "scan triplet --n-hi 600 --workers 2": "74612b86840ce242e54c8d3c20a2e2ab48031700099a03de3b589fa0a8cfe7d0",
     "scan triplet --n-hi 1 --workers 2": "a037198fa573b83ba61c3b446e5cdf774dc6d04e0bddd7d536657d247a79ba31",
