@@ -147,8 +147,13 @@ def _first_zero_report(name: str, spec_of, first: int, n_hi, rows, policy) -> Ex
     return ExperimentReport(name, [_claim_row(f, spec.claim_values(f), policy) for (spec, _), f in zip(runs, fs)])
 
 
+_C8_SPECS = {"prime": ShiftedIndex(), "twin": AlternatingLinear()}
+
+
 def _c8(rows, policy, variant="prime", n_hi=None):
-    spec = ShiftedIndex() if variant == "prime" else AlternatingLinear()
+    if variant not in _C8_SPECS:
+        raise ValueError(f"unknown c8 variant {variant!r}; known variants: {', '.join(_C8_SPECS)}")
+    spec = _C8_SPECS[variant]
     return _first_zero_report(f"c8-{variant}", lambda n: spec, 4, n_hi, rows, policy)
 
 
@@ -362,7 +367,8 @@ def _prefix_means(hits):
 
 def upsilon_twin(n_hi: int, workers: int = 1, policy=primality.DEFAULT_POLICY):
     """Prefix means of the twin-pair indicator for 2n^2 +/- 1 runs from a(0)=k."""
-    runs = [(AlternatingQuad(), k) for k in range(1, n_hi + 1)]
+    spec = AlternatingQuad()  # one object, so the runs share one memo
+    runs = [(spec, k) for k in range(1, n_hi + 1)]
     return _prefix_means(_claims_hold_map(runs, workers, policy, start_index=0))
 
 
@@ -380,7 +386,8 @@ def v_sequence(count: int, policy=primality.DEFAULT_POLICY):
 
 def upsilon_v(count: int, policy=primality.DEFAULT_POLICY):
     """Prefix means of the twin indicator for runs started at a(0) = 2 v(k)^2."""
-    runs = [(AlternatingQuad(), 2 * v * v) for v in v_sequence(count, policy)]
+    spec = AlternatingQuad()
+    runs = [(spec, 2 * v * v) for v in v_sequence(count, policy)]
     return _prefix_means(_claims_hold((runs, 0, policy)))
 
 
@@ -446,7 +453,8 @@ def legendre_series(n_hi: int, n_lo: int = 2, workers: int = 1):
 def gap_diagnostics(n_hi: int, policy=primality.DEFAULT_POLICY):
     """(N, (N - f(N))/sqrt(N), (N - prev_prime(N))/sqrt(N)) for N = 3..n_hi."""
     out = []
-    fs = engine.first_zeros((ShiftedIndex(), N - 2) for N in range(3, n_hi + 1))
+    spec = ShiftedIndex()
+    fs = engine.first_zeros((spec, N - 2) for N in range(3, n_hi + 1))
     for N, f in enumerate(fs, start=3):
         pp = primality.prev_prime(N, policy)
         rt = math.sqrt(N)

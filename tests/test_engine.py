@@ -1,15 +1,18 @@
 """Engine: backward descent (naive and jump-accelerated), forward addition."""
+from copy import copy
+from functools import cache
 from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gcdlab import engine, primality
+from gcdlab import engine, experiments, primality
 from gcdlab.engine import RunConfig
 from gcdlab.generators import (
     AffineMinus,
     AlternatingLinear,
+    AlternatingQuad,
     BeattyTwin,
     FactoredPolynomial,
     GoldbachAlt,
@@ -175,13 +178,62 @@ def test_first_zeros_equal_naive_signed_descent(spec, initials, start):
     assert engine.first_zeros(runs, start) == [naive_first_zero(spec, k, start) for k in initials]
 
 
+cached_naive_first_zero = cache(naive_first_zero)
+
+
+@given(
+    data=st.data(),
+    first=st.sampled_from(CLAIM_SPECS) | GOLDBACH_SPECS,
+    runs=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 400)), min_size=20, max_size=200),
+    start=st.sampled_from((0, 1)),
+)
+@settings(max_examples=100, deadline=None)
+def test_first_zeros_memo_equals_naive_on_long_alternating_runs(data, first, runs, start):
+    # the second spec is an equal but distinct object or another family;
+    # runs switch between the two, so each switch starts a new memo
+    second = data.draw(st.just(copy(first)) | st.sampled_from(CLAIM_SPECS) | GOLDBACH_SPECS)
+    specs = (first, second)
+    pairs = [(specs[k], initial) for k, initial in runs]
+    expected = [cached_naive_first_zero(spec, initial, start) for spec, initial in pairs]
+    assert engine.first_zeros(pairs, start) == expected
+
+
+def plain_first_zero(spec, initial, start):
+    """first_zeros' answer for one run, by a run without a memo."""
+    if not initial:
+        return start
+    return engine.first_zero(RunConfig(initial, spec, engine.SIGNED_BACKWARD, start, budget=initial + start + 1))
+
+
+# name -> (spec, or spec of N, initial of N, least N, start index): the runs
+# to N = 3000 of every scan family, the upsilon estimators and conj8 checks
+_MEMO_CASES = {
+    **{
+        f"scan-{family}": (spec, lambda N, offset=offset: N + offset, max(2, -offset), 1)
+        for family, (spec, offset) in experiments._SCAN_FAMILIES.items()
+    },
+    "upsilon": (PowerMinus(b=2, c=2), lambda k: k, 1, 1),
+    "upsilon-twin": (AlternatingQuad(), lambda k: k, 1, 0),
+    "conj8-prime": (ShiftedIndex(), lambda N: N - 2, 4, 1),
+    "conj8-twin": (AlternatingLinear(), lambda N: N - 2, 4, 1),
+}
+
+
+@pytest.mark.parametrize("name", _MEMO_CASES)
+def test_first_zeros_memo_equals_plain_runs(name):
+    # one spec object shared by the runs, where the callers share one
+    spec, initial, lo, start = _MEMO_CASES[name]
+    runs = [(spec(N) if callable(spec) else spec, initial(N)) for N in range(lo, 3001)]
+    assert engine.first_zeros(runs, start) == [plain_first_zero(s, k, start) for s, k in runs]
+
+
 def test_first_zeros_defaults_and_empty():
     assert engine.first_zeros([]) == []
     assert engine.first_zeros((ShiftedIndex(), k) for k in (0, 5)) == [1, 5]
 
 
 def test_first_zeros_without_a_zero_is_an_invariant_error(monkeypatch):
-    monkeypatch.setattr(engine, "first_zero", lambda config: None)
+    monkeypatch.setattr(engine, "run", lambda config, memo: engine.Trace())
     with pytest.raises(engine.EngineInvariantError, match="alt-linear from 7"):
         engine.first_zeros([(AlternatingLinear(), 7)])
 

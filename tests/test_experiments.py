@@ -73,6 +73,11 @@ def test_table_c8_prime():
     assert all(ap == 1 for _, _, _, ap in rep.rows)
 
 
+def test_table_c8_rejects_an_unknown_variant():
+    with pytest.raises(ValueError, match="^unknown c8 variant 'x'; known variants: prime, twin$"):
+        table("c8", variant="x")
+
+
 def test_table_unknown_family():
     with pytest.raises(ValueError):
         table("nope")
@@ -126,6 +131,12 @@ def test_scan_threshold_small():
     assert set(rep.failing_N) <= set(range(2, 301))
     csv = rep.to_csv()
     assert csv.splitlines()[0] == "N,failed"
+
+
+@pytest.mark.parametrize("family, largest", [("twin", 97), ("beatty", 1648), ("triplet", 2734)])
+def test_scans_to_n_1e5_keep_their_largest_failures(family, largest):
+    # each pool job's runs share one descent memo, which makes N = 10^5 cheap
+    assert scan_threshold(family, 10**5, workers=2).largest_failure == largest
 
 
 def test_scan_threshold_workers_agree():
