@@ -35,6 +35,15 @@ descent that reaches a stored state has merged into a stored path, and ends
 at that path's zero.  In the threshold scans 84-96% of the events come after
 such a merge.
 
+Descents of different g share nothing, so first_zeros moves them side by
+side on the lane path: _LANES runs at a time as numpy arrays of (n, a,
+coefficients), one pass moving each by one event.  A pass takes the class
+values by Horner in int64, their distinct primes from the SPF table and each
+prime's candidate index by _next_event's rules.  A lane whose class values
+reach 2^20 finishes on the scalar path from its current state; runs whose
+values could leave int64, and single runs, take the scalar path throughout.
+The zeros, and so every output, are the scalar path's.
+
 The factorizations are done in-house: values below 2^20 are read off
 `primality._spf_table`, the smallest-prime-factor (SPF) table that is the
 package's one sieve (it also answers `is_prime` below 2^20 and seeds the
@@ -47,7 +56,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cache, lru_cache
-from itertools import cycle
+from itertools import chain, cycle, groupby, islice
 from math import gcd
 
 from .generators import eval_form, poly_eval
@@ -69,6 +78,12 @@ _SCAN_SHIFT = 3
 _TRIAL_LIMIT = 1 << 12
 # Brent rho: steps whose x - y are multiplied together before one gcd.
 _RHO_BATCH = 128
+# first_zeros: runs descended together on the lane path.  Timed on
+# `stats goldbach-constant --n-hi 20000` over 1024..16384 (2 cores, 8 runs
+# each): more lanes pay for fewer numpy passes (median wall 1.35, 1.05, 0.90,
+# 0.83 and 0.74 s), but the process's peak RSS stays at 41 MB only up to 4096
+# (44 MB at 8192, 52 MB at 16384).
+_LANES = 4096
 
 
 class NonterminatingZeroRequest(ValueError):
@@ -383,21 +398,125 @@ def first_zeros(runs, start_index: int = 1) -> list:
 
     Consecutive runs whose spec is the same object share one memo of their
     descents (see run).  It starts empty whenever the spec object changes, so
-    specs that are equal but distinct objects do not share it."""
-    out, shared, memo = [], None, {}
-    for spec, initial in runs:
-        if spec is not shared:
-            shared, memo = spec, {}
-        z = start_index
-        if initial:  # the guard as budget, so DEFAULT_BUDGET does not cap it
-            guard = initial + start_index + 1
-            config = RunConfig(initial, spec, SIGNED_BACKWARD, start_index, stop_after_zeros=1, budget=guard)
-            zs = run(config, memo=memo).zero_indices
-            z = zs[0] if zs else None
-        if z is None:
-            raise EngineInvariantError(f"the descent of {spec.spec_str()} from {initial} found no zero")
-        out.append(z)
+    specs that are equal but distinct objects do not share it.  A run whose
+    spec object is neither of its neighbours' goes to the lane path instead
+    (see the module docstring), if its form has an int period and its class
+    values fit int64."""
+    out, lanes = [], []  # lanes: (position in out, spec, initial, form)
+    # keyed by id: a stretch's spec is alive while the next run's key is
+    # taken, so neighbouring stretches never share an id
+    for _, stretch in groupby(runs, key=lambda r: id(r[0])):
+        head = list(islice(stretch, 2))
+        spec, initial = head[0]
+        beta, polys = form = spec.residue_polys()
+        x_max = abs(start_index) + 1 + initial  # bounds |x| over the descent
+        if len(head) == 1 and initial and isinstance(beta, int) and _fits_int64(polys, x_max):
+            lanes.append((len(out), spec, initial, form))
+            out.append(None)
+        else:
+            memo = {}
+            out += (_first_zero(s, k, start_index, memo) for s, k in chain(head, stretch))
+        if len(lanes) == _LANES:
+            _lane_zeros(lanes, start_index, out)
+            lanes = []
+    _lane_zeros(lanes, start_index, out)
     return out
+
+
+def _first_zero(spec, initial: int, start_index: int, memo: dict | None) -> int:
+    """first_zeros's answer for one run, by run."""
+    if not initial:
+        return start_index
+    # the guard as budget, so DEFAULT_BUDGET does not cap it
+    guard = initial + start_index + 1
+    config = RunConfig(initial, spec, SIGNED_BACKWARD, start_index, stop_after_zeros=1, budget=guard)
+    zs = run(config, memo=memo).zero_indices
+    if not zs:
+        raise EngineInvariantError(f"the descent of {spec.spec_str()} from {initial} found no zero")
+    return zs[0]
+
+
+def _fits_int64(polys, x_max: int) -> bool:
+    """Whether every Horner partial sum of every class value is below 2^63
+    in absolute value wherever |x| <= x_max."""
+    return all(poly_eval([abs(c) for c in p], x_max) < 1 << 63 for p in polys)
+
+
+def _lane_zeros(lanes: list, start_index: int, out: list) -> None:
+    """Write the first zero of each (position, spec, initial, form) in lanes
+    to out[position]: one numpy pass per event of the lanes still descending,
+    stepped as run steps; a lane whose class values reach _SPF_LIMIT finishes
+    on run.  One run alone goes to run."""
+    if len(lanes) < 2:
+        for position, spec, initial, _ in lanes:
+            out[position] = _first_zero(spec, initial, start_index, None)
+        return
+    import numpy as np
+
+    width = max(beta for *_, (beta, _) in lanes)
+    length = max(len(p) for *_, (_, polys) in lanes for p in polys)
+    # classes past a lane's period hold the constant 1, which has no prime
+    pad = [[1] + [0] * (length - 1)]
+    rows = [[p + [0] * (length - len(p)) for p in polys] + pad * (width - beta) for *_, (beta, polys) in lanes]
+    coeffs = np.array(rows, dtype=np.int64)
+    beta, a = np.array([(form[0], initial) for _, _, initial, form in lanes], dtype=np.int64).T
+    n = np.full(len(lanes), start_index, dtype=np.int64)
+    live = np.arange(len(lanes))  # the lanes still descending
+    zs = np.zeros(len(lanes), dtype=np.int64)
+    while live.size:
+        x = n + 1 + a
+        q = coeffs[:, :, -1]
+        for j in range(length - 2, -1, -1):
+            q = q * x[:, None] + coeffs[:, :, j]
+        q = np.abs(q)
+        large = (q >= _SPF_LIMIT).any(axis=1)
+        if large.any():
+            for lane, m, k in zip(live[large].tolist(), n[large].tolist(), a[large].tolist()):
+                zs[lane] = _first_zero(lanes[lane][1], k, m, None)
+            keep = ~large
+            live, n, x, q, coeffs, beta = (v[keep] for v in (live, n, x, q, coeffs, beta))
+        i, value = _next_events(n, x, q, beta)
+        prev = x - i
+        g = np.gcd(prev, value)
+        unit = (g <= 1) & (prev > 1)
+        if unit.any():
+            raise EngineInvariantError(f"event detection found a unit step at n={i[unit][0]}")
+        n, a = i, prev - g
+        zs[live[a == 0]] = n[a == 0]
+        keep = a != 0
+        live, n, a, coeffs, beta = (v[keep] for v in (live, n, a, coeffs, beta))
+    for (position, *_), z in zip(lanes, zs.tolist()):
+        out[position] = z
+
+
+def _next_events(n, x, q, beta):
+    """_next_event, backward from x = n + 1 + a > n + 1, for lanes whose class
+    values q (one row each, 1 past the period beta) are below _SPF_LIMIT:
+    arrays (i, value), i the least event index in (n, x - 2], or x - 1 if
+    there is none, and value the class value at i."""
+    import numpy as np
+
+    best = x - 1
+    lane, k = np.nonzero(q != 1)
+    v = q[lane, k]
+    while lane.size:
+        p = _spf_table()[v].astype(np.int64)  # cast the entries, not the table
+        p[v == 0] = 1  # q == 0: its class's first index is the event
+        b, m = beta[lane], n[lane]
+        i = m + 1 + (x[lane] - m - 1) % p
+        # the first of i, i + p, ..., i + (b - 1)p in class k, if any
+        found = best[lane]
+        for j in range(q.shape[1]):
+            found = np.where((j < b) & (i % b == k), np.minimum(found, i), found)
+            i += p
+        np.minimum.at(best, lane, found)
+        # divide p out; a zero value, with p = 1, is done
+        v //= p
+        while (again := (v % p == 0) & (p > 1)).any():
+            v = np.where(again, v // p, v)
+        keep = v > 1
+        lane, k, v = lane[keep], k[keep], v[keep]
+    return best, q[np.arange(len(q)), best % beta]
 
 
 def zeros(config: RunConfig, count: int) -> list:

@@ -3,6 +3,7 @@ from copy import copy
 from functools import cache
 from math import gcd, prod
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -236,6 +237,74 @@ def test_first_zeros_without_a_zero_is_an_invariant_error(monkeypatch):
     monkeypatch.setattr(engine, "run", lambda config, memo: engine.Trace())
     with pytest.raises(engine.EngineInvariantError, match="alt-linear from 7"):
         engine.first_zeros([(AlternatingLinear(), 7)])
+
+
+@given(
+    stretches=st.lists(
+        st.tuples(
+            st.sampled_from(CLAIM_SPECS) | GOLDBACH_SPECS,
+            st.lists(st.integers(0, 3000), min_size=1, max_size=4),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    start=st.sampled_from((0, 1)),
+)
+@settings(max_examples=100, deadline=None)
+def test_lane_path_equals_naive_signed_descent(stretches, start):
+    # a stretch either shares one spec object (the memo path) or takes a
+    # fresh copy per run (the lane path, for an int period)
+    runs = [
+        (spec if shared else copy(spec), initial)
+        for spec, initials, shared in stretches
+        for initial in initials
+    ]
+    expected = [cached_naive_first_zero(spec, initial, start) for spec, initial in runs]
+    assert engine.first_zeros(runs, start) == expected
+
+
+def test_lane_zero_class_value():
+    # from x = 2N the flipped GoldbachAlt's class-0 value 2N - x is 0; the
+    # first index of that class after start index 0 is 2, not 1
+    runs = [(GoldbachAlt(N=N, flip=True), 2 * N - 1) for N in range(3, 60)]
+    assert engine.first_zeros(runs, 0) == [naive_first_zero(spec, k, 0) for spec, k in runs]
+
+
+@pytest.fixture
+def hand_offs(monkeypatch):
+    """The states from which runs go to _first_zero, the scalar path."""
+    states, first_zero = [], engine._first_zero
+
+    def spy(spec, initial, start_index, memo):
+        states.append((start_index, initial))
+        return first_zero(spec, initial, start_index, memo)
+
+    monkeypatch.setattr(engine, "_first_zero", spy)
+    return states
+
+
+def test_lanes_crossing_the_spf_limit_finish_on_run(hand_offs):
+    # (x - 1)(2N + 1 - x) grows as the descent lowers x from near 2N + 1:
+    # these lanes start below 2^20 and cross it mid-descent
+    runs = [(GoldbachProduct(N=N), 2 * N - 2 - d) for N in range(2990, 3010) for d in (5, 40, 120)]
+    assert engine.first_zeros(runs) == [naive_first_zero(spec, k, 1) for spec, k in runs]
+    assert hand_offs and all(n > 1 for n, _ in hand_offs)
+
+
+def test_lanes_whose_horner_values_could_leave_int64_run_scalar(hand_offs):
+    # 2^40 x^2 = 2^64 at x = 2^12, which int64 Horner would wrap to the
+    # constant term alone
+    runs = [(Polynomial(coeffs=(c, 0, 1 << 40)), 4094 + d) for c in (15, 21, 105, 1155) for d in (-1, 0, 1)]
+    assert engine.first_zeros(runs) == [naive_first_zero(spec, k, 1) for spec, k in runs]
+    assert len(hand_offs) == len(runs)
+
+
+def test_lane_event_invariant_raises(monkeypatch):
+    # an event whose class value 1 has no prime in common with a(i - 1)
+    monkeypatch.setattr(engine, "_next_events", lambda n, x, q, beta: (n + 1, np.ones_like(n)))
+    with pytest.raises(engine.EngineInvariantError, match="unit step"):
+        engine.first_zeros([(AffineMinus(m=1), 10), (AffineMinus(m=1), 12)])
 
 
 def naive_forward(initial, g_of, budget, start=1):
