@@ -36,13 +36,16 @@ at that path's zero.  In the threshold scans 84-96% of the events come after
 such a merge.
 
 Descents of different g share nothing, so first_zeros moves them side by
-side on the lane path: _LANES runs at a time as numpy arrays of (n, a,
-coefficients), one pass moving each by one event.  A pass takes the class
-values by Horner in int64, their distinct primes from the SPF table and each
-prime's candidate index by _next_event's rules.  A lane whose class values
-reach 2^20 finishes on the scalar path from its current state; runs whose
-values could leave int64, and single runs, take the scalar path throughout.
-The zeros, and so every output, are the scalar path's.
+side on the lane path: up to _LANES runs at a time as numpy arrays of (n, a,
+beta, coefficients), one pass moving each by one event.  A pass takes the
+class values by Horner in int64, their distinct primes from the SPF table
+and each prime's candidate index by _next_event's rules.  After each pass
+the lanes that left are refilled with the next runs, so the passes stay
+full until the runs run out.  A lane whose class values reach 2^20 finishes
+on the scalar path from its current state, and so does the last lane once
+no run is left; runs whose values could leave int64, and single runs, take
+the scalar path throughout.  The zeros, and so every output, are the scalar
+path's.
 
 The factorizations are done in-house: values below 2^20 are read off
 `primality._spf_table`, the smallest-prime-factor (SPF) table that is the
@@ -78,11 +81,12 @@ _SCAN_SHIFT = 3
 _TRIAL_LIMIT = 1 << 12
 # Brent rho: steps whose x - y are multiplied together before one gcd.
 _RHO_BATCH = 128
-# first_zeros: runs descended together on the lane path.  Timed on
-# `stats goldbach-constant --n-hi 20000` over 1024..16384 (2 cores, 8 runs
-# each): more lanes pay for fewer numpy passes (median wall 1.35, 1.05, 0.90,
-# 0.83 and 0.74 s), but the process's peak RSS stays at 41 MB only up to 4096
-# (44 MB at 8192, 52 MB at 16384).
+# first_zeros: the most runs descending at once on the lane path, whose
+# lanes are refilled after every pass.  Timed on `stats goldbach-constant
+# --n-hi 20000` through the CLI at 2048, 4096 and 8192 (2 shared cores, 8
+# alternated runs each): median wall 0.55, 0.58 and 0.59 s, within the
+# host's noise, and peak RSS 41.0, 41.2 and 44.5 MB.  4096 takes 215 numpy
+# passes against 272 at 2048, without the memory of 8192.
 _LANES = 4096
 
 
@@ -385,7 +389,7 @@ def _step_until_event(config, trace, n, a, limit):
 
 def first_zero(config: RunConfig) -> int | None:
     """Least n > start_index with a(n) = 0, or None if the budget ran out."""
-    guard = min(config.budget, config.initial + config.start_index + 1)
+    guard = min(config.budget, config.initial + 1)
     trace = run(replace(config, stop_after_zeros=1, budget=guard))
     return trace.zero_indices[0] if trace.zero_indices else None
 
@@ -402,7 +406,15 @@ def first_zeros(runs, start_index: int = 1) -> list:
     spec object is neither of its neighbours' goes to the lane path instead
     (see the module docstring), if its form has an int period and its class
     values fit int64."""
-    out, lanes = [], []  # lanes: (position in out, spec, initial, form)
+    out = []
+    _lane_zeros(_lane_runs(runs, start_index, out), start_index, out)
+    return out
+
+
+def _lane_runs(runs, start_index: int, out: list):
+    """Yield (position in out, spec, initial, form) for each run that goes to
+    the lane path, holding its place in out with None; append every other
+    run's zero to out, by the memo path, as the runs are consumed."""
     # keyed by id: a stretch's spec is alive while the next run's key is
     # taken, so neighbouring stretches never share an id
     for _, stretch in groupby(runs, key=lambda r: id(r[0])):
@@ -411,16 +423,11 @@ def first_zeros(runs, start_index: int = 1) -> list:
         beta, polys = form = spec.residue_polys()
         x_max = abs(start_index) + 1 + initial  # bounds |x| over the descent
         if len(head) == 1 and initial and isinstance(beta, int) and _fits_int64(polys, x_max):
-            lanes.append((len(out), spec, initial, form))
             out.append(None)
+            yield len(out) - 1, spec, initial, form
         else:
             memo = {}
             out += (_first_zero(s, k, start_index, memo) for s, k in chain(head, stretch))
-        if len(lanes) == _LANES:
-            _lane_zeros(lanes, start_index, out)
-            lanes = []
-    _lane_zeros(lanes, start_index, out)
-    return out
 
 
 def _first_zero(spec, initial: int, start_index: int, memo: dict | None) -> int:
@@ -428,7 +435,7 @@ def _first_zero(spec, initial: int, start_index: int, memo: dict | None) -> int:
     if not initial:
         return start_index
     # the guard as budget, so DEFAULT_BUDGET does not cap it
-    guard = initial + start_index + 1
+    guard = initial + 1
     config = RunConfig(initial, spec, SIGNED_BACKWARD, start_index, stop_after_zeros=1, budget=guard)
     zs = run(config, memo=memo).zero_indices
     if not zs:
@@ -442,39 +449,54 @@ def _fits_int64(polys, x_max: int) -> bool:
     return all(poly_eval([abs(c) for c in p], x_max) < 1 << 63 for p in polys)
 
 
-def _lane_zeros(lanes: list, start_index: int, out: list) -> None:
-    """Write the first zero of each (position, spec, initial, form) in lanes
-    to out[position]: one numpy pass per event of the lanes still descending,
-    stepped as run steps; a lane whose class values reach _SPF_LIMIT finishes
-    on run.  One run alone goes to run."""
-    if len(lanes) < 2:
-        for position, spec, initial, _ in lanes:
-            out[position] = _first_zero(spec, initial, start_index, None)
-        return
+def _lane_zeros(lane_runs, start_index: int, out: list) -> None:
+    """Write the first zero of each (position, spec, initial, form) that
+    lane_runs yields to out[position].  Up to _LANES lanes descend at a time,
+    one numpy pass moving each by one event as run steps; after each pass
+    the lanes that left are refilled from lane_runs.  A lane whose class
+    values reach _SPF_LIMIT finishes on run, and so does the last lane once
+    lane_runs is empty, as one run alone does."""
     import numpy as np
 
-    width = max(beta for *_, (beta, _) in lanes)
-    length = max(len(p) for *_, (_, polys) in lanes for p in polys)
-    # classes past a lane's period hold the constant 1, which has no prime
-    pad = [[1] + [0] * (length - 1)]
-    rows = [[p + [0] * (length - len(p)) for p in polys] + pad * (width - beta) for *_, (beta, polys) in lanes]
-    coeffs = np.array(rows, dtype=np.int64)
-    beta, a = np.array([(form[0], initial) for _, _, initial, form in lanes], dtype=np.int64).T
-    n = np.full(len(lanes), start_index, dtype=np.int64)
-    live = np.arange(len(lanes))  # the lanes still descending
-    zs = np.zeros(len(lanes), dtype=np.int64)
-    while live.size:
+    position = n = a = beta = np.zeros(0, dtype=np.int64)
+    spec = np.zeros(0, dtype=object)
+    coeffs = np.zeros((0, 1, 1), dtype=np.int64)
+    # (positions, zeros) of the lanes that reached 0, from empty arrays on;
+    # written to out at the end, which keeps the peak RSS of `stats
+    # goldbach-constant --n-hi 20000` about 0.1 MB lower than writing each
+    # zero as its lane leaves
+    finished = [(position, n)]
+    while True:
+        wanted = _LANES - len(n)
+        new = list(islice(lane_runs, wanted))
+        empty = len(new) < wanted  # lane_runs has no run left
+        if new:
+            forms = [form for *_, form in new]
+            width = max(coeffs.shape[1], *(b for b, _ in forms))
+            length = max(coeffs.shape[2], *(len(p) for _, polys in forms for p in polys))
+            # classes past a lane's period hold the constant 1, which has no
+            # prime; a wider period or higher degree grows the array
+            old, coeffs = coeffs, np.zeros((len(n) + len(new), width, length), dtype=np.int64)
+            coeffs[:, :, 0] = 1
+            coeffs[: len(n), : old.shape[1], : old.shape[2]] = old
+            pad = [[1] + [0] * (length - 1)]
+            coeffs[len(n) :] = [[p + [0] * (length - len(p)) for p in polys] + pad * (width - b) for b, polys in forms]
+            fresh = np.array([(at, start_index, k, b) for at, _, k, (b, _) in new], dtype=np.int64)
+            position, n, a, beta = (np.concatenate(pair) for pair in zip((position, n, a, beta), fresh.T))
+            spec = np.concatenate((spec, np.fromiter((s for _, s, *_ in new), dtype=object, count=len(new))))
         x = n + 1 + a
         q = coeffs[:, :, -1]
-        for j in range(length - 2, -1, -1):
+        for j in range(coeffs.shape[2] - 2, -1, -1):
             q = q * x[:, None] + coeffs[:, :, j]
         q = np.abs(q)
-        large = (q >= _SPF_LIMIT).any(axis=1)
-        if large.any():
-            for lane, m, k in zip(live[large].tolist(), n[large].tolist(), a[large].tolist()):
-                zs[lane] = _first_zero(lanes[lane][1], k, m, None)
-            keep = ~large
-            live, n, x, q, coeffs, beta = (v[keep] for v in (live, n, x, q, coeffs, beta))
+        off = (q >= _SPF_LIMIT).any(axis=1) | (empty and len(n) == 1)
+        if off.any():
+            for at, s, m, k in zip(position[off].tolist(), spec[off], n[off].tolist(), a[off].tolist()):
+                out[at] = _first_zero(s, k, m, None)
+            keep = ~off
+            position, spec, n, x, q, coeffs, beta = (v[keep] for v in (position, spec, n, x, q, coeffs, beta))
+        if empty and not len(n):
+            break
         i, value = _next_events(n, x, q, beta)
         prev = x - i
         g = np.gcd(prev, value)
@@ -482,11 +504,12 @@ def _lane_zeros(lanes: list, start_index: int, out: list) -> None:
         if unit.any():
             raise EngineInvariantError(f"event detection found a unit step at n={i[unit][0]}")
         n, a = i, prev - g
-        zs[live[a == 0]] = n[a == 0]
-        keep = a != 0
-        live, n, a, coeffs, beta = (v[keep] for v in (live, n, a, coeffs, beta))
-    for (position, *_), z in zip(lanes, zs.tolist()):
-        out[position] = z
+        done = a == 0
+        finished.append((position[done], n[done]))
+        keep = ~done
+        position, spec, n, a, coeffs, beta = (v[keep] for v in (position, spec, n, a, coeffs, beta))
+    for at, z in zip(*(np.concatenate(v).tolist() for v in zip(*finished))):
+        out[at] = z
 
 
 def _next_events(n, x, q, beta):
@@ -498,9 +521,9 @@ def _next_events(n, x, q, beta):
 
     best = x - 1
     lane, k = np.nonzero(q != 1)
-    v = q[lane, k]
+    v = q[lane, k].astype(np.int32)  # below _SPF_LIMIT: the SPF table's dtype
     while lane.size:
-        p = _spf_table()[v].astype(np.int64)  # cast the entries, not the table
+        p = _spf_table()[v]
         p[v == 0] = 1  # q == 0: its class's first index is the event
         b, m = beta[lane], n[lane]
         i = m + 1 + (x[lane] - m - 1) % p
@@ -512,8 +535,10 @@ def _next_events(n, x, q, beta):
         np.minimum.at(best, lane, found)
         # divide p out; a zero value, with p = 1, is done
         v //= p
-        while (again := (v % p == 0) & (p > 1)).any():
-            v = np.where(again, v // p, v)
+        again = np.flatnonzero((v % p == 0) & (p > 1))
+        while again.size:
+            v[again] //= p[again]
+            again = again[v[again] % p[again] == 0]
         keep = v > 1
         lane, k, v = lane[keep], k[keep], v[keep]
     return best, q[np.arange(len(q)), best % beta]

@@ -145,6 +145,19 @@ def test_first_zero_guard():
         assert z is not None and z <= initial + 2
 
 
+@pytest.mark.parametrize("start", (-3, 0, 1))
+def test_first_zero_budget_covers_every_start(start):
+    # the zero can lie at start + initial, so a budget of initial + start + 1
+    # fell short for start <= -2
+    spec, initial = AffineMinus(m=1), 5
+    expected = naive_first_zero(spec, initial, start)
+    assert engine.first_zero(RunConfig(initial, spec, engine.SIGNED_BACKWARD, start)) == expected
+    # one run, two runs sharing a spec object (memo) and two distinct ones (lanes)
+    assert engine.first_zeros([(spec, initial)], start) == [expected]
+    assert engine.first_zeros([(spec, initial)] * 2, start) == [expected] * 2
+    assert engine.first_zeros([(copy(spec), initial) for _ in range(2)], start) == [expected] * 2
+
+
 def naive_first_zero(spec, initial, start):
     """Reference signed descent stepping spec.eval_arg: its first zero."""
     a, n = initial, start
@@ -240,28 +253,33 @@ def test_first_zeros_without_a_zero_is_an_invariant_error(monkeypatch):
 
 
 @given(
+    lanes=st.sampled_from((2, 3, 4, 5, engine._LANES)),
     stretches=st.lists(
         st.tuples(
             st.sampled_from(CLAIM_SPECS) | GOLDBACH_SPECS,
-            st.lists(st.integers(0, 3000), min_size=1, max_size=4),
+            st.lists(st.just(0) | st.integers(1, 3000), min_size=1, max_size=4),
             st.booleans(),
         ),
         min_size=1,
-        max_size=5,
+        max_size=12,
     ),
     start=st.sampled_from((0, 1)),
 )
-@settings(max_examples=100, deadline=None)
-def test_lane_path_equals_naive_signed_descent(stretches, start):
+@settings(max_examples=150, deadline=None)
+def test_lane_path_equals_naive_signed_descent(lanes, stretches, start):
     # a stretch either shares one spec object (the memo path) or takes a
-    # fresh copy per run (the lane path, for an int period)
+    # fresh copy per run (the lane path, for an int period); with a few
+    # lanes, lanes leave and are refilled many times, by runs of other
+    # periods (1-3) and degrees (1-4), between memo stretches
     runs = [
         (spec if shared else copy(spec), initial)
         for spec, initials, shared in stretches
         for initial in initials
     ]
     expected = [cached_naive_first_zero(spec, initial, start) for spec, initial in runs]
-    assert engine.first_zeros(runs, start) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_LANES", lanes)
+        assert engine.first_zeros(runs, start) == expected
 
 
 def test_lane_zero_class_value():
@@ -284,12 +302,17 @@ def hand_offs(monkeypatch):
     return states
 
 
-def test_lanes_crossing_the_spf_limit_finish_on_run(hand_offs):
+def test_lanes_crossing_the_spf_limit_finish_on_run(hand_offs, monkeypatch):
     # (x - 1)(2N + 1 - x) grows as the descent lowers x from near 2N + 1:
-    # these lanes start below 2^20 and cross it mid-descent
+    # these lanes start below 2^20 and cross it mid-descent; with 3 lanes
+    # they do so between refills
     runs = [(GoldbachProduct(N=N), 2 * N - 2 - d) for N in range(2990, 3010) for d in (5, 40, 120)]
-    assert engine.first_zeros(runs) == [naive_first_zero(spec, k, 1) for spec, k in runs]
-    assert hand_offs and all(n > 1 for n, _ in hand_offs)
+    expected = [naive_first_zero(spec, k, 1) for spec, k in runs]
+    for lanes in (engine._LANES, 3):
+        monkeypatch.setattr(engine, "_LANES", lanes)
+        hand_offs.clear()
+        assert engine.first_zeros(runs) == expected
+        assert hand_offs and all(n > 1 for n, _ in hand_offs)
 
 
 def test_lanes_whose_horner_values_could_leave_int64_run_scalar(hand_offs):
@@ -305,6 +328,25 @@ def test_lane_event_invariant_raises(monkeypatch):
     monkeypatch.setattr(engine, "_next_events", lambda n, x, q, beta: (n + 1, np.ones_like(n)))
     with pytest.raises(engine.EngineInvariantError, match="unit step"):
         engine.first_zeros([(AffineMinus(m=1), 10), (AffineMinus(m=1), 12)])
+
+
+def test_refills_widen_the_lanes(monkeypatch):
+    # wider periods (1, then 3) and higher degrees (1, 2, then 3) arrive
+    # while lanes of the narrower forms are still descending
+    monkeypatch.setattr(engine, "_LANES", 2)
+    specs = [AffineMinus(m=5), QuadShift(m=2), PeriodicAffine(m=3, offsets=(-1, 4, 0)), AlternatingQuad()]
+    specs += [parse_spec("triplet"), parse_spec("periodic-factored:q=x^2+1|x^2+3|x+1,schedule=2;3;1")]
+    runs = [(copy(spec), initial) for spec in specs for initial in (900, 40, 2500)]
+    assert engine.first_zeros(runs) == [naive_first_zero(spec, k, 1) for spec, k in runs]
+
+
+def test_the_last_lane_finishes_on_run(hand_offs):
+    # the short descent ends first; the long one, alone once the runs are
+    # all taken, finishes on run from the state it reached
+    runs = [(AffineMinus(m=1), 3), (AffineMinus(m=1), 2000)]
+    assert engine.first_zeros(runs) == [naive_first_zero(spec, k, 1) for spec, k in runs]
+    ((n, a),) = hand_offs
+    assert 1 < n and 0 < a < 2000
 
 
 def naive_forward(initial, g_of, budget, start=1):
