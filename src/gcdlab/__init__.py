@@ -16,7 +16,6 @@ from .engine import (
     SIGNED_BACKWARD,
     RunConfig,
     Trace,
-    first_zero,
     forward_record_indices,
     run,
     zeros,
@@ -33,7 +32,6 @@ __all__ = [
     "RunConfig",
     "Trace",
     "run",
-    "first_zero",
     "zeros",
     "forward_record_indices",
     "parse_spec",

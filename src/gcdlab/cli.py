@@ -15,9 +15,9 @@ import argparse
 import json
 import sys
 
-from . import engine, experiments, primality, records
+from . import engine, experiments, generators, primality, records
 from .engine import RunConfig
-from .generators import AffineMinus, PowerMinus, SpecParseError, parse_spec
+from .generators import SpecParseError, parse_spec
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -71,6 +71,9 @@ _STATS_KINDS = {
     "legendre": ("n-hi", "workers"),
 }
 
+# predict's families: the predictor takes the family's spec keys, then the jump
+_PREDICTORS = {"affine": records.predict_next_affine, "power": records.predict_next_power}
+
 
 def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
     """Give p --format, --out and the _FLAGS `names`: the flags it honours."""
@@ -121,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "workers", "seed", "mr-rounds")
 
     p = sub.add_parser("predict", help="record-jump prediction")
-    p.add_argument("family", choices=("affine", "power"))
+    p.add_argument("family", choices=sorted(_PREDICTORS))
     p.add_argument("--m", type=int)
     p.add_argument("--b", type=int)
     p.add_argument("--c", type=int)
@@ -268,17 +271,15 @@ def _cmd_scan(args) -> int:
 
 def _cmd_predict(args) -> int:
     tail = [int(t) for t in args.tail.split(",") if t.strip()]
-    reads = ("m",) if args.family == "affine" else ("b", "c")
+    family = generators._FAMILIES[args.family]
+    reads = generators._keys(family)  # affine: m; power: b, c
     for key in ("m", "b", "c"):
         given = getattr(args, key) is not None
         if given != (key in reads):
             raise SpecParseError(f"predict {args.family} {'does not read' if given else 'requires'} --{key}")
-    if args.family == "affine":
-        jump = records.RecordJump(args.record, tail, AffineMinus(m=args.m))
-        value = records.predict_next_affine(args.m, jump)
-    else:
-        jump = records.RecordJump(args.record, tail, PowerMinus(b=args.b, c=args.c))
-        value = records.predict_next_power(args.b, args.c, jump)
+    values = [getattr(args, key) for key in reads]
+    jump = records.RecordJump(args.record, tail, family(*values))
+    value = _PREDICTORS[args.family](*values, jump)
     if args.format == "json":
         _emit(args, _json_report(args, [str(value)]))
     else:

@@ -387,18 +387,12 @@ def _step_until_event(config, trace, n, a, limit):
 # convenience entry points
 
 
-def first_zero(config: RunConfig) -> int | None:
-    """Least n > start_index with a(n) = 0, or None if the budget ran out."""
-    guard = min(config.budget, config.initial + 1)
-    trace = run(replace(config, stop_after_zeros=1, budget=guard))
-    return trace.zero_indices[0] if trace.zero_indices else None
-
-
 def first_zeros(runs, start_index: int = 1) -> list:
     """The first zero of the signed descent from a(start_index) = initial, for
-    each (spec, initial) in runs: start_index for an initial of 0, else
-    first_zero's.  A descent loses at least 1 a step, so it reaches 0 within
-    first_zero's guard; one that does not raises EngineInvariantError.
+    each (spec, initial) in runs: start_index for an initial of 0, else the
+    least n > start_index with a(n) = 0.  A descent loses at least 1 a step,
+    so it reaches 0 within initial + 1 steps; one that does not raises
+    EngineInvariantError.
 
     Consecutive runs whose spec is the same object share one memo of their
     descents (see run).  It starts empty whenever the spec object changes, so

@@ -7,12 +7,15 @@ recursion hits zero at index n (the claim map, claim_values).  The form is
 the only definition of g: the engine's jumps and its naive stepping read it
 (the latter through eval_form), and eval_arg(n) is derived from it by the
 Family base.
+
+Its spec string, tag:key=value,..., is stated once too: the tag in its class
+statement and a _key field per key, from which Family.spec_str and
+parse_spec both derive.
 """
 from __future__ import annotations
 
-import inspect
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 
 class NoClaimDefined(ValueError):
@@ -121,19 +124,63 @@ def eval_form(form, n: int) -> int:
     return poly_eval(polys[n % sel if isinstance(sel, int) else sel(n)], n)
 
 
+def _flip(v: str) -> bool:
+    if v not in ("0", "1"):
+        raise ValueError(f"flip must be 0 or 1, got {v!r}")
+    return v == "1"
+
+
+# spec-key codecs: (read the text after "key=", write the field's value)
+_INT = (int, str)
+_INTS = (lambda v: [int(x) for x in v.split(";")], lambda t: ";".join(map(str, t)))
+_POLY = (parse_poly, poly_str)
+_POLYS = (lambda v: [parse_poly(q) for q in v.split("|")], lambda t: "|".join(map(poly_str, t)))
+_FLAG = (_flip, lambda b: "1" if b else "0")
+
+
+def _key(codec, key=None, **kw):
+    """A spec-key field, read and written by codec; key is its name in spec
+    strings where that is not the field's name."""
+    return field(metadata={"codec": codec, "key": key}, **kw)
+
+
+def _keys(cls) -> dict:
+    """key -> field, for the spec keys of cls (all its fields) in field order."""
+    return {f.metadata["key"] or f.name: f for f in fields(cls)}
+
+
+_FAMILIES = {}  # tag -> family class
+
+
 class Family:
-    """Base of the variants: g is stated once, as residue_polys() = (sel,
-    polys), and eval_arg(n) = polys[sel(n)](n) is derived from it."""
+    """Base of the variants.  g is stated once, as residue_polys() = (sel,
+    polys), and eval_arg(n) = polys[sel(n)](n) is derived from it.  The spec
+    string is stated once too: the tag in the class statement and a _key
+    field per key, from which spec_str and parse_spec both derive."""
+
+    def __init_subclass__(cls, tag: str, **kw):
+        super().__init_subclass__(**kw)
+        cls.tag = tag
+        _FAMILIES[tag] = cls
 
     def eval_arg(self, n: int) -> int:
         return eval_form(self.residue_polys(), n)
 
+    def spec_str(self) -> str:
+        """tag:key=value,... in field order, less the keys at their default."""
+        body = ",".join(
+            f"{key}={f.metadata['codec'][1](getattr(self, f.name))}"
+            for key, f in _keys(type(self)).items()
+            if getattr(self, f.name) != f.default
+        )
+        return f"{self.tag}:{body}" if body else self.tag
+
 
 @dataclass(frozen=True)
-class AffineMinus(Family):
+class AffineMinus(Family, tag="affine"):
     """g(n) = m*n - 1; claims m(n+1)+m-1... i.e. m*n+m-1 at a zero index n."""
 
-    m: int
+    m: int = _key(_INT)
 
     def claim_values(self, n: int):
         return [self.m * n + self.m - 1]
@@ -141,16 +188,13 @@ class AffineMinus(Family):
     def residue_polys(self):
         return 1, [[-1, self.m]]
 
-    def spec_str(self) -> str:
-        return f"affine:m={self.m}"
-
 
 @dataclass(frozen=True)
-class PowerMinus(Family):
+class PowerMinus(Family, tag="power"):
     """g(n) = b*n^c - 1; claim b(n+1)^c - 1."""
 
-    b: int
-    c: int
+    b: int = _key(_INT)
+    c: int = _key(_INT)
 
     def __post_init__(self):
         if self.b < 1 or self.c < 1:
@@ -162,15 +206,12 @@ class PowerMinus(Family):
     def residue_polys(self):
         return 1, [[-1] + [0] * (self.c - 1) + [self.b]]
 
-    def spec_str(self) -> str:
-        return f"power:b={self.b},c={self.c}"
-
 
 @dataclass(frozen=True)
-class PrimePowerMinusOne(Family):
+class PrimePowerMinusOne(Family, tag="primepower"):
     """g(n) = n^p - 1; claims n and ((n+1)^p - 1)/n."""
 
-    p: int
+    p: int = _key(_INT)
 
     def __post_init__(self):
         if self.p < 1:
@@ -182,15 +223,12 @@ class PrimePowerMinusOne(Family):
     def residue_polys(self):
         return 1, [[-1] + [0] * (self.p - 1) + [1]]
 
-    def spec_str(self) -> str:
-        return f"primepower:p={self.p}"
-
 
 @dataclass(frozen=True)
-class QuadShift(Family):
+class QuadShift(Family, tag="quadshift"):
     """g(n) = n(n+2m); claims n+1 and n+2m+1."""
 
-    m: int
+    m: int = _key(_INT)
 
     def claim_values(self, n: int):
         return _sorted_claims([n + 1, n + 2 * self.m + 1])
@@ -198,12 +236,9 @@ class QuadShift(Family):
     def residue_polys(self):
         return 1, [[0, 2 * self.m, 1]]
 
-    def spec_str(self) -> str:
-        return f"quadshift:m={self.m}"
-
 
 @dataclass(frozen=True)
-class TripletProduct(Family):
+class TripletProduct(Family, tag="triplet"):
     """g(n) = n(n+2)(n+6); claims the (p, p+2, p+6) triplet at n+1."""
 
     def claim_values(self, n: int):
@@ -212,15 +247,12 @@ class TripletProduct(Family):
     def residue_polys(self):
         return 1, [[0, 12, 8, 1]]
 
-    def spec_str(self) -> str:
-        return "triplet"
-
 
 @dataclass(frozen=True)
-class Polynomial(Family):
+class Polynomial(Family, tag="poly"):
     """g(n) = P(n) for an arbitrary integer polynomial; claim P(n+1)."""
 
-    coeffs: tuple
+    coeffs: tuple = _key(_POLY, "p")
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
@@ -233,15 +265,12 @@ class Polynomial(Family):
     def residue_polys(self):
         return 1, [list(self.coeffs)]
 
-    def spec_str(self) -> str:
-        return f"poly:p={poly_str(self.coeffs)}"
-
 
 @dataclass(frozen=True)
-class FactoredPolynomial(Family):
+class FactoredPolynomial(Family, tag="factored"):
     """g(n) = prod Q_j(n); claims all Q_j(n+1) simultaneously prime."""
 
-    factors: tuple
+    factors: tuple = _key(_POLYS, "q")
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(tuple(f) for f in self.factors))
@@ -257,16 +286,13 @@ class FactoredPolynomial(Family):
             prod = poly_mul(prod, list(f))
         return 1, [prod]
 
-    def spec_str(self) -> str:
-        return "factored:q=" + "|".join(poly_str(f) for f in self.factors)
-
 
 @dataclass(frozen=True)
-class PeriodicAffine(Family):
+class PeriodicAffine(Family, tag="periodic"):
     """g(n) = m*n + b(n) with beta-periodic offsets, b(n) = offsets[(n-1) % beta]."""
 
-    m: int
-    offsets: tuple
+    m: int = _key(_INT)
+    offsets: tuple = _key(_INTS)
 
     def __post_init__(self):
         object.__setattr__(self, "offsets", tuple(self.offsets))
@@ -281,21 +307,20 @@ class PeriodicAffine(Family):
         offsets = self.offsets[-1:] + self.offsets[:-1]
         return len(offsets), [[b, self.m] for b in offsets]
 
-    def spec_str(self) -> str:
-        return f"periodic:m={self.m},offsets=" + ";".join(str(b) for b in self.offsets)
-
 
 @dataclass(frozen=True)
-class PeriodicFactorSchedule(Family):
+class PeriodicFactorSchedule(Family, tag="periodic-factored"):
     """g(n) = Q_{b(n)}(n) where b(n) = schedule[(n-1) % beta] cycles through
     a permutation of 1..beta."""
 
-    factors: tuple
-    schedule: tuple
+    factors: tuple = _key(_POLYS, "q")
+    schedule: tuple = _key(_INTS)
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(tuple(f) for f in self.factors))
         object.__setattr__(self, "schedule", tuple(self.schedule))
+        if not self.factors:
+            raise ValueError("need at least one factor")
         if sorted(self.schedule) != list(range(1, len(self.factors) + 1)):
             raise ValueError("schedule must be a permutation of 1..beta")
 
@@ -307,17 +332,9 @@ class PeriodicFactorSchedule(Family):
         schedule = self.schedule[-1:] + self.schedule[:-1]
         return len(schedule), [list(self.factors[j - 1]) for j in schedule]
 
-    def spec_str(self) -> str:
-        return (
-            "periodic-factored:q="
-            + "|".join(poly_str(f) for f in self.factors)
-            + ",schedule="
-            + ";".join(str(j) for j in self.schedule)
-        )
-
 
 @dataclass(frozen=True)
-class ShiftedIndex(Family):
+class ShiftedIndex(Family, tag="shifted"):
     """g(n) = n - 1; the claim at a zero is the index itself."""
 
     def claim_values(self, n: int):
@@ -326,12 +343,9 @@ class ShiftedIndex(Family):
     def residue_polys(self):
         return 1, [[-1, 1]]
 
-    def spec_str(self) -> str:
-        return "shifted"
-
 
 @dataclass(frozen=True)
-class AlternatingLinear(Family):
+class AlternatingLinear(Family, tag="alt-linear"):
     """g(n) = n + (-1)^n; twin claim (n, n+2) at a zero."""
 
     def claim_values(self, n: int):
@@ -341,12 +355,9 @@ class AlternatingLinear(Family):
         # class 0: even n -> n+1 ; class 1: odd n -> n-1
         return 2, [[1, 1], [-1, 1]]
 
-    def spec_str(self) -> str:
-        return "alt-linear"
-
 
 @dataclass(frozen=True)
-class ShevelevLinear(Family):
+class ShevelevLinear(Family, tag="shevelev"):
     """g(n) = n - 1 + (-1)^n, the forward twin-record drive (no zero claim)."""
 
     def claim_values(self, n: int):
@@ -355,12 +366,9 @@ class ShevelevLinear(Family):
     def residue_polys(self):
         return 2, [[0, 1], [-2, 1]]
 
-    def spec_str(self) -> str:
-        return "shevelev"
-
 
 @dataclass(frozen=True)
-class AlternatingQuad(Family):
+class AlternatingQuad(Family, tag="alt-quad"):
     """g(n) = 2n^2 + (-1)^n; twin claim (2(n+1)^2 - 1, 2(n+1)^2 + 1)."""
 
     def claim_values(self, n: int):
@@ -370,15 +378,12 @@ class AlternatingQuad(Family):
     def residue_polys(self):
         return 2, [[1, 0, 2], [-1, 0, 2]]
 
-    def spec_str(self) -> str:
-        return "alt-quad"
-
 
 @dataclass(frozen=True)
-class GoldbachProduct(Family):
+class GoldbachProduct(Family, tag="goldbach"):
     """g(n) = (n-1)(2N-n+1); decomposition claim (g_N, 2N-g_N)."""
 
-    N: int
+    N: int = _key(_INT)
 
     def claim_values(self, n: int):
         return sorted([n, 2 * self.N - n])
@@ -387,19 +392,16 @@ class GoldbachProduct(Family):
         # (n-1)(2N+1-n) = -(2N+1) + (2N+2) n - n^2
         return 1, [[-(2 * self.N + 1), 2 * self.N + 2, -1]]
 
-    def spec_str(self) -> str:
-        return f"goldbach:N={self.N}"
-
 
 @dataclass(frozen=True)
-class GoldbachAlt(Family):
+class GoldbachAlt(Family, tag="goldbach-alt"):
     """g(n) = N - (-1)^n (N-n): n at even steps, 2N-n at odd steps.
 
     Claim at a zero g_N: the Goldbach pair (g_N+1, 2N-g_N-1).
     """
 
-    N: int
-    flip: bool = False  # swap the parity roles (used by the threshold scan)
+    N: int = _key(_INT)
+    flip: bool = _key(_FLAG, default=False)  # swap the parity roles (used by the threshold scan)
 
     def claim_values(self, n: int):
         return sorted([n + 1, 2 * self.N - n - 1])
@@ -410,12 +412,9 @@ class GoldbachAlt(Family):
             even_poly, odd_poly = odd_poly, even_poly
         return 2, [even_poly, odd_poly]
 
-    def spec_str(self) -> str:
-        return f"goldbach-alt:N={self.N}" + (",flip=1" if self.flip else "")
-
 
 @dataclass(frozen=True)
-class BeattyTwin(Family):
+class BeattyTwin(Family, tag="beatty"):
     """g(n) = n + r_n with r_n = 2(floor(pi n) - floor(pi (n-1)) - 3) in {0, 2}."""
 
     @staticmethod
@@ -429,12 +428,9 @@ class BeattyTwin(Family):
     def residue_polys(self):
         return self.select, [[0, 1], [2, 1]]
 
-    def spec_str(self) -> str:
-        return "beatty"
-
 
 @dataclass(frozen=True)
-class RowlandIndex(Family):
+class RowlandIndex(Family, tag="rowland"):
     """g(n) = n, the classic forward-additive drive (no zero claim)."""
 
     def claim_values(self, n: int):
@@ -443,54 +439,9 @@ class RowlandIndex(Family):
     def residue_polys(self):
         return 1, [[0, 1]]
 
-    def spec_str(self) -> str:
-        return "rowland"
-
 
 # ---------------------------------------------------------------------------
 # serialization
-
-_NO_ARG = {
-    "triplet": TripletProduct,
-    "shifted": ShiftedIndex,
-    "alt-linear": AlternatingLinear,
-    "shevelev": ShevelevLinear,
-    "alt-quad": AlternatingQuad,
-    "beatty": BeattyTwin,
-    "rowland": RowlandIndex,
-}
-
-
-def _ints(v: str) -> list:
-    return [int(x) for x in v.split(";")]
-
-
-def _polys(v: str) -> list:
-    return [parse_poly(q) for q in v.split("|")]
-
-
-def _flip(v: str) -> bool:
-    if v not in ("0", "1"):
-        raise ValueError(f"flip must be 0 or 1, got {v!r}")
-    return v == "1"
-
-
-# tag -> builder; the builder's parameters are the keys the tag reads, and
-# one with a default may be left out
-_KEYED = {
-    "affine": lambda m: AffineMinus(m=int(m)),
-    "power": lambda b, c: PowerMinus(b=int(b), c=int(c)),
-    "primepower": lambda p: PrimePowerMinusOne(p=int(p)),
-    "quadshift": lambda m: QuadShift(m=int(m)),
-    "poly": lambda p: Polynomial(coeffs=parse_poly(p)),
-    "factored": lambda q: FactoredPolynomial(factors=_polys(q)),
-    "periodic": lambda m, offsets: PeriodicAffine(m=int(m), offsets=_ints(offsets)),
-    "periodic-factored": lambda q, schedule: PeriodicFactorSchedule(
-        factors=_polys(q), schedule=_ints(schedule)
-    ),
-    "goldbach": lambda N: GoldbachProduct(N=int(N)),
-    "goldbach-alt": lambda N, flip="0": GoldbachAlt(N=int(N), flip=_flip(flip)),
-}
 
 
 def parse_spec(text: str):
@@ -500,13 +451,11 @@ def parse_spec(text: str):
     each a SpecParseError that names the key."""
     text = text.strip()
     tag, _, body = text.partition(":")
-    if tag in _NO_ARG:
-        if body:
-            raise SpecParseError(f"{tag} takes no parameters")
-        return _NO_ARG[tag]()
-    if tag not in _KEYED:
+    if tag not in _FAMILIES:
         raise SpecParseError(f"unknown spec tag {tag!r}")
-    keys = inspect.signature(_KEYED[tag]).parameters
+    keys = _keys(_FAMILIES[tag])
+    if body and not keys:
+        raise SpecParseError(f"{tag} takes no parameters")
     given = {}
     for part in body.split(",") if body else ():
         key, eq, value = part.partition("=")
@@ -517,10 +466,11 @@ def parse_spec(text: str):
         if key not in keys:
             raise SpecParseError(f"bad spec {text!r}: {tag} reads {', '.join(keys)}, not {key!r}")
         given[key] = value
-    missing = [key for key, p in keys.items() if p.default is p.empty and key not in given]
+    missing = [key for key, f in keys.items() if f.default is MISSING and key not in given]
     if missing:
         raise SpecParseError(f"bad spec {text!r}: {tag} needs key {', '.join(missing)}")
     try:
-        return _KEYED[tag](**given)
+        read = {f.name: f.metadata["codec"][0](given[key]) for key, f in keys.items() if key in given}
+        return _FAMILIES[tag](**read)
     except ValueError as exc:
         raise SpecParseError(f"bad spec {text!r}: {exc}") from exc

@@ -136,13 +136,12 @@ def test_nonterminating_zero_request():
 
 
 def test_first_zero_guard():
-    # descent loses at least 1 per step, so the zero arrives within initial steps
+    # descent loses at least 1 per step, so the zero arrives within initial + 1 steps
     spec = AlternatingLinear()
     for initial in (5, 96, 997):
-        z = engine.first_zero(
-            RunConfig(initial=initial, arg=spec, mode=engine.SIGNED_BACKWARD)
-        )
+        z = plain_first_zero(spec, initial, 1)
         assert z is not None and z <= initial + 2
+        assert engine.first_zeros([(spec, initial)]) == [z]
 
 
 @pytest.mark.parametrize("start", (-3, 0, 1))
@@ -151,7 +150,7 @@ def test_first_zero_budget_covers_every_start(start):
     # fell short for start <= -2
     spec, initial = AffineMinus(m=1), 5
     expected = naive_first_zero(spec, initial, start)
-    assert engine.first_zero(RunConfig(initial, spec, engine.SIGNED_BACKWARD, start)) == expected
+    assert plain_first_zero(spec, initial, start) == expected
     # one run, two runs sharing a spec object (memo) and two distinct ones (lanes)
     assert engine.first_zeros([(spec, initial)], start) == [expected]
     assert engine.first_zeros([(spec, initial)] * 2, start) == [expected] * 2
@@ -213,10 +212,12 @@ def test_first_zeros_memo_equals_naive_on_long_alternating_runs(data, first, run
 
 
 def plain_first_zero(spec, initial, start):
-    """first_zeros' answer for one run, by a run without a memo."""
+    """first_zeros' answer for one run, by a run without a memo whose budget
+    is the descent's guard, initial + 1; None if that budget runs out."""
     if not initial:
         return start
-    return engine.first_zero(RunConfig(initial, spec, engine.SIGNED_BACKWARD, start, budget=initial + start + 1))
+    config = RunConfig(initial, spec, engine.SIGNED_BACKWARD, start, stop_after_zeros=1, budget=initial + 1)
+    return next(iter(engine.run(config).zero_indices), None)
 
 
 # name -> (spec, or spec of N, initial of N, least N, start index): the runs
@@ -413,9 +414,9 @@ def test_beatty_jump_equals_naive(initial, budget, mode, start, want):
 
 
 def test_beatty_first_zero():
-    cfg = RunConfig(initial=98, arg=BeattyTwin(), mode=engine.SIGNED_BACKWARD)
     zs, _, _, _ = naive_backward(98, BEATTY_G, 99, "signed", want=1)
-    assert engine.first_zero(cfg) == zs[0]
+    assert plain_first_zero(BeattyTwin(), 98, 1) == zs[0]
+    assert engine.first_zeros([(BeattyTwin(), 98)]) == [zs[0]]
 
 
 def test_beatty_descent_from_400000_equals_naive():

@@ -1,9 +1,11 @@
 """Argument families: evaluation, claims, residue classes, serialization."""
 import math
 import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from gcdlab import generators as G
@@ -149,6 +151,64 @@ def test_eval_arg_matches_closed_form(spec):
         assert spec.eval_arg(n) == g(n), n
 
 
+def test_every_family_has_a_closed_form():
+    # so that every family takes the eval and round-trip tests above
+    assert {spec.tag for spec in CLOSED_FORM} == set(G._FAMILIES)
+
+
+# field values by spec-key codec, in the shapes parse_spec builds them
+COEFFS = st.lists(st.integers(-50, 50), min_size=1, max_size=4).filter(lambda c: c[-1]).map(tuple)
+FIELD_VALUES = {
+    G._INT: st.integers(-(10**20), 10**20),
+    G._INTS: st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=5).map(tuple),
+    G._POLY: COEFFS,
+    G._POLYS: st.lists(COEFFS, min_size=1, max_size=4).map(tuple),
+    G._FLAG: st.booleans(),
+}
+
+
+@st.composite
+def families(draw):
+    cls = draw(st.sampled_from(list(G._FAMILIES.values())))
+    values = {}
+    for f in fields(cls):
+        if f.name == "schedule":  # a permutation of 1..beta, one entry per factor
+            values[f.name] = tuple(draw(st.permutations(range(1, len(values["factors"]) + 1))))
+        else:
+            values[f.name] = draw(FIELD_VALUES[f.metadata["codec"]])
+    try:
+        return cls(**values)
+    except ValueError:  # power and primepower need exponents >= 1
+        reject()
+
+
+@given(families())
+@settings(max_examples=500, deadline=None)
+def test_parse_spec_inverts_spec_str(spec):
+    assert G.parse_spec(spec.spec_str()) == spec
+
+
+def test_readme_spec_table_lists_the_registry():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("### Spec strings", 1)[1].split("\n### ", 1)[0]
+    listed = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            tags, keys = re.split(r"(?<!\\)\|", line)[1:3]
+            for tag in re.findall(r"`([^`]+)`", tags):
+                listed[tag] = re.findall(r"`([^`]+)`", keys)
+    assert listed == {tag: list(G._keys(cls)) for tag, cls in G._FAMILIES.items()}
+
+
+def test_empty_factor_list_rejected():
+    # an empty periodic-factored family once failed only in the engine, with
+    # ZeroDivisionError, TypeError or "max() arg is an empty sequence"
+    with pytest.raises(ValueError, match="need at least one factor"):
+        G.PeriodicFactorSchedule(factors=(), schedule=())
+    with pytest.raises(ValueError, match="need at least one factor"):
+        G.FactoredPolynomial(factors=())
+
+
 def test_parse_spec_errors():
     for bad in ["nope", "affine:z=1", "affine:m", "periodic:m=1", "triplet:m=1"]:
         with pytest.raises(G.SpecParseError):
@@ -162,6 +222,9 @@ def test_parse_spec_errors():
         ("power:b=2", "power needs key c"),
         ("periodic-factored:q=x+1", "periodic-factored needs key schedule"),
         ("affine", "affine needs key m"),
+        ("nope", "unknown spec tag 'nope'"),
+        ("triplet:m=1", "triplet takes no parameters"),
+        ("periodic-factored:q=,schedule=", "bad spec 'periodic-factored:q=,schedule=': empty polynomial"),
     ]:
         with pytest.raises(G.SpecParseError, match=re.escape(message)):
             G.parse_spec(bad)
