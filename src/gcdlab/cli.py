@@ -4,6 +4,9 @@ Each command, and each stats kind, accepts only the flags it honours, spelt
 in full; any other flag is an argument error, and so is a table or predict
 parameter that the chosen family does not read.
 
+Each command states its JSON rows and its CSV lines once and hands both to
+_write, the one place that reads --format and --out.
+
 The Beatty digit is exact for indices |n| < 10^25, far beyond any budget.
 
 Exit codes: 0 success, 2 argument error, 3 budget exhausted (partial output
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from . import engine, experiments, generators, primality, records
 from .engine import RunConfig
@@ -43,6 +47,17 @@ def positive_int(text: str) -> int:
     return value
 
 
+def fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:  # argparse names the flag for a ValueError only
+        raise ValueError(text) from None
+
+
+def int_list(text: str) -> list:
+    return [int(t) for t in text.split(",") if t.strip()]
+
+
 # add_argument keywords of the flags that commands name in _add_flags: the
 # four shared ones, then the stats kinds' own flags
 _FLAGS = {
@@ -50,7 +65,7 @@ _FLAGS = {
     "workers": dict(type=positive_int, default=1),
     "seed": dict(type=int, default=0),
     "mr-rounds": dict(type=int, default=40),
-    "alpha": dict(default="1/2"),
+    "alpha": dict(type=fraction, default="1/2"),
     "samples": dict(type=int, default=1000),
     "lo": dict(type=int, default=10**6),
     "hi": dict(type=int, default=10**7),
@@ -60,23 +75,14 @@ _FLAGS = {
     "count": dict(type=int, default=140),
 }
 
-# the flags each stats kind honours
-_STATS_KINDS = {
-    "lalpha": ("alpha", "samples", "lo", "hi", "seed", "mr-rounds"),
-    "upsilon": ("b", "c", "n-hi", "workers", "seed", "mr-rounds"),
-    "upsilon-twin": ("n-hi", "workers", "seed", "mr-rounds"),
-    "upsilon-v": ("count", "seed", "mr-rounds"),
-    "goldbach-constant": ("n-hi",),
-    "gaps": ("n-hi", "seed", "mr-rounds"),
-    "legendre": ("n-hi", "workers"),
-}
-
 # predict's families: the predictor takes the family's spec keys, then the jump
 _PREDICTORS = {"affine": records.predict_next_affine, "power": records.predict_next_power}
 
 
-def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
-    """Give p --format, --out and the _FLAGS `names`: the flags it honours."""
+def _add_flags(p: argparse.ArgumentParser, command, *names: str) -> None:
+    """Make p run `command`, and give it --format, --out and the _FLAGS
+    `names`: the flags it honours."""
+    p.set_defaults(command=command)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="output path (default: stdout)")
     for name in names:
@@ -93,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("abs", "signed", "forward"), default="abs")
     p.add_argument("--start-index", type=int, default=1)
     p.add_argument("--zeros", type=int, default=None, help="stop after this many zeros")
-    _add_flags(p, "budget")
+    _add_flags(p, _cmd_run, "budget")
 
     p = sub.add_parser("zeros", help="first zero indices of a recursion")
     p.add_argument("--spec", required=True)
@@ -101,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--mode", choices=("abs", "signed"), default="abs")
     p.add_argument("--start-index", type=int, default=1)
-    _add_flags(p, "budget")
+    _add_flags(p, _cmd_zeros, "budget")
 
     p = sub.add_parser("table", help="reproduce a reference table")
     p.add_argument("family", choices=sorted(experiments.TABLE_PARAMS))
@@ -116,12 +122,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial", type=int)
     p.add_argument("--n-hi", type=int)
     p.add_argument("--variant", choices=("prime", "twin"))
-    _add_flags(p, "seed", "mr-rounds")
+    _add_flags(p, _cmd_table, "seed", "mr-rounds")
 
     p = sub.add_parser("scan", help="threshold scan over starting values")
     p.add_argument("family", choices=sorted(experiments._SCAN_FAMILIES))
     p.add_argument("--n-hi", type=int, required=True)
-    _add_flags(p, "workers", "seed", "mr-rounds")
+    _add_flags(p, _cmd_scan, "workers", "seed", "mr-rounds")
 
     p = sub.add_parser("predict", help="record-jump prediction")
     p.add_argument("family", choices=sorted(_PREDICTORS))
@@ -129,109 +135,78 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int)
     p.add_argument("--c", type=int)
     p.add_argument("--record", type=int, required=True)
-    p.add_argument("--tail", default="", help="comma-separated large negative steps")
-    _add_flags(p)
+    p.add_argument("--tail", type=int_list, default="", help="comma-separated large negative steps")
+    _add_flags(p, _cmd_predict)
 
     p = sub.add_parser("stats", help="statistical series and estimators")
     kinds = p.add_subparsers(dest="kind", required=True)
-    for kind, names in _STATS_KINDS.items():
-        _add_flags(kinds.add_parser(kind), *names)
+    for kind, (names, command) in _STATS.items():
+        _add_flags(kinds.add_parser(kind), command, *names)
 
     p = sub.add_parser("goldbach", help="Goldbach decomposition for one N")
     p.add_argument("N", type=int)
     p.add_argument("--variant", choices=("product", "alternating"), default="alternating")
-    _add_flags(p, "seed", "mr-rounds")
+    _add_flags(p, _cmd_goldbach, "seed", "mr-rounds")
 
     return ap
-
-
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _policy(args) -> primality.PrimalityPolicy:
     return primality.PrimalityPolicy(rounds=args.mr_rounds, rng_seed=args.seed or 0x5EED_CAFE)
 
 
-def _meta(args, **extra) -> dict:
-    meta = {"argv": args.argv}
-    meta.update((key, getattr(args, key)) for key in ("budget", "seed") if hasattr(args, key))
-    meta.update(extra)
-    return meta
+def _write(args, rows, lines, exhausted: bool = False, **meta) -> int:
+    """Write a command's output in the --format asked for, to --out or else
+    stdout, and return its exit code: EXIT_BUDGET when `exhausted`.
 
-
-def _json_report(args, rows, **extra) -> str:
-    return json.dumps({"metadata": _meta(args, **extra), "rows": rows}, default=str) + "\n"
-
-
-def _report_out(args, report) -> int:
+    rows() gives the JSON rows and lines() the CSV lines; only the form that
+    is written is built.  JSON wraps the rows with a metadata object: the
+    argv, the --budget and --seed of a command that has them, then `meta`.
+    """
     if args.format == "json":
-        rows = [
-            {"index": i, "claims": [str(c) for c in cl], "deltas": d, "all_prime": ap}
-            for i, cl, d, ap in report.rows
-        ]
-        _emit(args, _json_report(args, rows, spec=report.spec, budget_exhausted=report.budget_exhausted))
+        flags = {key: getattr(args, key) for key in ("budget", "seed") if hasattr(args, key)}
+        text = json.dumps({"metadata": {"argv": args.argv, **flags, **meta}, "rows": rows()}, default=str) + "\n"
     else:
-        _emit(args, report.to_csv())
-    return EXIT_BUDGET if report.budget_exhausted else EXIT_OK
+        text = "\n".join(lines()) + "\n"
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
+    else:
+        sys.stdout.write(text)
+    return EXIT_BUDGET if exhausted else EXIT_OK
+
+
+def _run_config(args, **extra) -> RunConfig:
+    """The RunConfig of the flags that run and zeros share."""
+    return RunConfig(args.initial, parse_spec(args.spec), args.mode, args.start_index, budget=args.budget, **extra)
 
 
 def _cmd_run(args) -> int:
-    cfg = RunConfig(
-        initial=args.initial,
-        arg=parse_spec(args.spec),
-        mode=args.mode,
-        start_index=args.start_index,
-        stop_after_zeros=args.zeros,
-        budget=args.budget,
-    )
-    trace = engine.run(cfg)
-    if args.format == "json":
-        _emit(
-            args,
-            _json_report(
-                args,
-                {
-                    "zero_indices": trace.zero_indices,
-                    "large_steps": [[n, str(d)] for n, d in trace.large_steps],
-                    "forward_diffs": [str(d) for d in trace.forward_diffs[:10000]],
-                    "final_index": trace.final_index,
-                    "final_value": str(trace.final_value),
-                    "iterations_used": trace.iterations_used,
-                    "budget_exhausted": trace.budget_exhausted,
-                },
-                spec=args.spec,
-            ),
-        )
-    else:
-        lines = ["event,index,value"]
-        for n in trace.zero_indices:
-            lines.append(f"zero,{n},0")
-        for n, d in trace.large_steps:
-            lines.append(f"step,{n},{d}")
-        lines.append(f"final,{trace.final_index},{trace.final_value}")
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_BUDGET if trace.budget_exhausted else EXIT_OK
+    trace = engine.run(_run_config(args, stop_after_zeros=args.zeros))
+    rows = lambda: {
+        "zero_indices": trace.zero_indices,
+        "large_steps": [[n, str(d)] for n, d in trace.large_steps],
+        "forward_diffs": [str(d) for d in trace.forward_diffs[:10000]],
+        "final_index": trace.final_index,
+        "final_value": str(trace.final_value),
+        "iterations_used": trace.iterations_used,
+        "budget_exhausted": trace.budget_exhausted,
+    }
+    lines = lambda: [
+        "event,index,value",
+        *(f"zero,{n},0" for n in trace.zero_indices),
+        *(f"step,{n},{d}" for n, d in trace.large_steps),
+        f"final,{trace.final_index},{trace.final_value}",
+    ]
+    return _write(args, rows, lines, exhausted=trace.budget_exhausted, spec=args.spec)
 
 
 def _cmd_zeros(args) -> int:
-    cfg = RunConfig(
-        initial=args.initial,
-        arg=parse_spec(args.spec),
-        mode=args.mode,
-        start_index=args.start_index,
-        budget=args.budget,
-    )
-    zs = engine.zeros(cfg, args.count)
-    if args.format == "json":
-        _emit(args, _json_report(args, zs, spec=args.spec))
-    else:
-        _emit(args, ",".join(str(z) for z in zs) + "\n")
-    return EXIT_OK if len(zs) >= args.count else EXIT_BUDGET
+    zs = engine.zeros(_run_config(args), args.count)
+    return _write(args, lambda: zs, lambda: [",".join(map(str, zs))], exhausted=len(zs) < args.count, spec=args.spec)
 
 
 def _cmd_table(args) -> int:
@@ -239,38 +214,35 @@ def _cmd_table(args) -> int:
     params = {key: value for key, value in vars(args).items() if key in names and value is not None}
     if args.family == "appendix1":
         experiments.check_table_params(args.family, params)  # table() checks the others
-        rows = experiments.appendix1(args.rows or 20, policy=_policy(args))
-        if args.format == "json":
-            _emit(args, _json_report(args, [[k, str(b), d, r] for k, b, d, r in rows]))
-        else:
-            lines = ["k,b1,delta,ratio"] + [f"{k},{b},{d},{r:.9f}" for k, b, d, r in rows]
-            _emit(args, "\n".join(lines) + "\n")
-        return EXIT_OK
+        table = experiments.appendix1(args.rows or 20, policy=_policy(args))
+        rows = lambda: [[k, str(b), d, r] for k, b, d, r in table]
+        return _write(args, rows, lambda: ["k,b1,delta,ratio", *(f"{k},{b},{d},{r:.9f}" for k, b, d, r in table)])
     report = experiments.table(args.family, rows=args.rows, policy=_policy(args), **params)
-    return _report_out(args, report)
+
+    def lines():  # the claims and deltas padded to the widest row
+        width = max((len(claims) for _, claims, _, _ in report.rows), default=1)
+        yield ",".join(["index", *(f"{c}_{j}" for c in ("claim", "delta") for j in range(1, width + 1)), "all_prime"])
+        for index, claims, deltas, ap in report.rows:
+            pad = [""] * (width - len(claims))
+            yield ",".join(map(str, [index, *claims, *pad, *deltas, *pad, ap]))
+
+    rows = lambda: [
+        {"index": i, "claims": [str(c) for c in cl], "deltas": d, "all_prime": ap} for i, cl, d, ap in report.rows
+    ]
+    exhausted = report.budget_exhausted
+    return _write(args, rows, lines, exhausted=exhausted, spec=report.spec, budget_exhausted=exhausted)
 
 
 def _cmd_scan(args) -> int:
     report = experiments.scan_threshold(
         args.family, args.n_hi, workers=args.workers, policy=_policy(args)
     )
-    if args.format == "json":
-        _emit(
-            args,
-            _json_report(
-                args,
-                report.failing_N,
-                family=report.family,
-                largest_failure=report.largest_failure,
-            ),
-        )
-    else:
-        _emit(args, report.to_csv())
-    return EXIT_OK
+    failing = set(report.failing_N)
+    lines = lambda: ["N,failed", *(f"{n},{1 if n in failing else 0}" for n in range(report.n_lo, report.n_hi + 1))]
+    return _write(args, lambda: report.failing_N, lines, family=report.family, largest_failure=report.largest_failure)
 
 
 def _cmd_predict(args) -> int:
-    tail = [int(t) for t in args.tail.split(",") if t.strip()]
     family = generators._FAMILIES[args.family]
     reads = generators._keys(family)  # affine: m; power: b, c
     for key in ("m", "b", "c"):
@@ -278,64 +250,53 @@ def _cmd_predict(args) -> int:
         if given != (key in reads):
             raise SpecParseError(f"predict {args.family} {'does not read' if given else 'requires'} --{key}")
     values = [getattr(args, key) for key in reads]
-    jump = records.RecordJump(args.record, tail, family(*values))
+    jump = records.RecordJump(args.record, args.tail, family(*values))
     value = _PREDICTORS[args.family](*values, jump)
-    if args.format == "json":
-        _emit(args, _json_report(args, [str(value)]))
-    else:
-        _emit(args, f"{value}\n")
-    return EXIT_OK
+    return _write(args, lambda: [str(value)], lambda: [str(value)])
 
 
-def _cmd_stats(args) -> int:
-    if args.kind == "lalpha":
-        from fractions import Fraction
+def _cmd_lalpha(args) -> int:
+    ms = records.sample_ms(args.samples, args.lo, args.hi, seed=args.seed)
+    est = float(records.estimate_L_alpha(args.alpha, ms, policy=_policy(args)))
+    return _write(args, lambda: [est], lambda: [f"{est}"], alpha=str(args.alpha))
 
-        alpha = Fraction(args.alpha)
-        ms = records.sample_ms(args.samples, args.lo, args.hi, seed=args.seed)
-        est = records.estimate_L_alpha(alpha, ms, policy=_policy(args))
-        if args.format == "json":
-            _emit(args, _json_report(args, [float(est)], alpha=str(alpha)))
-        else:
-            _emit(args, f"{float(est)}\n")
-        return EXIT_OK
-    if args.kind == "upsilon":
-        series = experiments.upsilon(args.n_hi, args.b, args.c, workers=args.workers, policy=_policy(args))
-    elif args.kind == "upsilon-twin":
-        series = experiments.upsilon_twin(args.n_hi, workers=args.workers, policy=_policy(args))
-    elif args.kind == "upsilon-v":
-        series = experiments.upsilon_v(args.count, policy=_policy(args))
-    elif args.kind == "goldbach-constant":
-        series = experiments.goldbach_constant_series(args.n_hi)
-    elif args.kind == "gaps":
-        series = [(n, a) for n, a, _ in experiments.gap_diagnostics(args.n_hi, policy=_policy(args))]
-    else:  # legendre
-        series = experiments.legendre_series(args.n_hi, workers=args.workers)
-    if args.format == "json":
-        _emit(args, _json_report(args, [[x, y] for x, y in series], kind=args.kind))
-    else:
-        _emit(args, experiments.series_to_csv(series))
-    return EXIT_OK
+
+def _series(series_of):
+    """The stats command that writes the (x, y) pairs series_of(args)."""
+
+    def command(args) -> int:
+        series = series_of(args)
+        lines = lambda: ["x,y", *(f"{x},{y}" for x, y in series)]
+        return _write(args, lambda: [[x, y] for x, y in series], lines, kind=args.kind)
+
+    return command
+
+
+# stats kind -> (the _FLAGS it honours, its command)
+_STATS = {
+    "lalpha": (("alpha", "samples", "lo", "hi", "seed", "mr-rounds"), _cmd_lalpha),
+    "upsilon": (
+        ("b", "c", "n-hi", "workers", "seed", "mr-rounds"),
+        _series(lambda a: experiments.upsilon(a.n_hi, a.b, a.c, workers=a.workers, policy=_policy(a))),
+    ),
+    "upsilon-twin": (
+        ("n-hi", "workers", "seed", "mr-rounds"),
+        _series(lambda a: experiments.upsilon_twin(a.n_hi, workers=a.workers, policy=_policy(a))),
+    ),
+    "upsilon-v": (("count", "seed", "mr-rounds"), _series(lambda a: experiments.upsilon_v(a.count, policy=_policy(a)))),
+    "goldbach-constant": (("n-hi",), _series(lambda a: experiments.goldbach_constant_series(a.n_hi))),
+    "gaps": (
+        ("n-hi", "seed", "mr-rounds"),
+        _series(lambda a: [(n, x) for n, x, _ in experiments.gap_diagnostics(a.n_hi, policy=_policy(a))]),
+    ),
+    "legendre": (("n-hi", "workers"), _series(lambda a: experiments.legendre_series(a.n_hi, workers=a.workers))),
+}
 
 
 def _cmd_goldbach(args) -> int:
     g, claims, ap = experiments.goldbach_g(args.N, args.variant, policy=_policy(args))
-    if args.format == "json":
-        _emit(args, _json_report(args, [{"g": g, "claims": claims, "all_prime": ap}]))
-    else:
-        _emit(args, "g,claim_1,claim_2,all_prime\n" + f"{g},{claims[0]},{claims[1]},{ap}\n")
-    return EXIT_OK
-
-
-_DISPATCH = {
-    "run": _cmd_run,
-    "zeros": _cmd_zeros,
-    "table": _cmd_table,
-    "scan": _cmd_scan,
-    "predict": _cmd_predict,
-    "stats": _cmd_stats,
-    "goldbach": _cmd_goldbach,
-}
+    lines = lambda: ["g,claim_1,claim_2,all_prime", f"{g},{claims[0]},{claims[1]},{ap}"]
+    return _write(args, lambda: [{"g": g, "claims": claims, "all_prime": ap}], lines)
 
 
 def dispatch(argv=None) -> int:
@@ -351,7 +312,7 @@ def dispatch(argv=None) -> int:
     args = ap.parse_args(argv)
     args.argv = received  # the metadata records the command line as given
     try:
-        return _DISPATCH[args.cmd](args)
+        return args.command(args)
     except (SpecParseError, ValueError, KeyError) as exc:
         print(f"gcdlab: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -38,23 +38,6 @@ class ExperimentReport:
     rows: list  # (index, claims, deltas, all_prime)
     budget_exhausted: bool = False
 
-    def to_csv(self) -> str:
-        width = max((len(r[1]) for r in self.rows), default=1)
-        head = (
-            ["index"]
-            + [f"claim_{j + 1}" for j in range(width)]
-            + [f"delta_{j + 1}" for j in range(width)]
-            + ["all_prime"]
-        )
-        lines = [",".join(head)]
-        for idx, claims, deltas, ap in self.rows:
-            claims = list(claims) + [""] * (width - len(claims))
-            deltas = list(deltas) + [""] * (width - len(deltas))
-            lines.append(
-                ",".join([str(idx)] + [str(c) for c in claims] + [str(d) for d in deltas] + [str(ap)])
-            )
-        return "\n".join(lines) + "\n"
-
 
 @dataclass
 class ThresholdScanReport:
@@ -63,20 +46,6 @@ class ThresholdScanReport:
     n_hi: int
     failing_N: list
     largest_failure: int | None
-
-    def to_csv(self) -> str:
-        lines = ["N,failed"]
-        failing = set(self.failing_N)
-        for n in range(self.n_lo, self.n_hi + 1):
-            lines.append(f"{n},{1 if n in failing else 0}")
-        return "\n".join(lines) + "\n"
-
-
-def series_to_csv(series) -> str:
-    lines = ["x,y"]
-    for x, y in series:
-        lines.append(f"{x},{y}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

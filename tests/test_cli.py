@@ -132,6 +132,52 @@ def test_out_file(tmp_path, capsys):
     assert path.read_text() == "2,5,11\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "run --spec affine:m=9 --initial 1 --zeros 9 --budget 100",
+        "scan twin --n-hi 120",
+        "stats gaps --n-hi 50",
+        "table c3ter",
+        "goldbach 100",
+    ],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, argv, fmt):
+    argv = [*argv.split(), "--format", fmt]
+    code, out = run_cli(capsys, *argv)
+    path = tmp_path / "out"
+    # the metadata records the argv, so --out goes on the end of both runs
+    assert run_cli(capsys, *argv, "--out", str(path)) == (code, "")
+    assert path.read_bytes().replace(f', "--out", "{path}"'.encode(), b"") == out.encode()
+
+
+def test_unopenable_out_exits_2_naming_the_path(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    code, err = dispatch_exit(capsys, ["zeros", "--spec", "affine:m=1", "--count", "2", "--out", str(path)])
+    assert code == 2
+    assert err == f"gcdlab: cannot write --out {path}: No such file or directory\n"
+    assert not path.parent.exists()
+
+
+def test_claims_table_csv(capsys):
+    # ported from the report's own CSV writer: the rows of claims_report(AffineMinus(m=1), 1, 4)
+    code, out = run_cli(capsys, "table", "c1", "--rows", "4")
+    assert code == 0
+    assert out.splitlines()[:2] == ["index,claim_1,delta_1,all_prime", "2,2,1,1"]
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["2", "5", "11", "23"]
+
+
+def test_scan_csv_lists_every_n(capsys):
+    # the JSON rows are the failing N only; the CSV flags every N = 2..n_hi
+    code, out = run_cli(capsys, "scan", "twin", "--n-hi", "300")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "N,failed"
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(2, 301))
+    assert [line for line in lines[1:] if line.endswith(",1")][-1] == "97,1"
+
+
 def test_bad_spec_exit_2(capsys):
     code, _ = run_cli(capsys, "zeros", "--spec", "bogus:z=1", "--count", "2")
     assert code == 2
@@ -449,6 +495,26 @@ def test_argument_errors_exit_2_in_one_line(capsys, argv, message):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, prog, error",
+    [
+        ("stats lalpha --samples 3 --alpha 1/0", "stats lalpha", "--alpha: invalid fraction value: '1/0'"),
+        ("stats lalpha --samples 3 --alpha half", "stats lalpha", "--alpha: invalid fraction value: 'half'"),
+        ("predict affine --m 1 --record 2 --tail abc", "predict", "--tail: invalid int_list value: 'abc'"),
+        ("predict affine --m 1 --record 2 --tail -3,x", "predict", "--tail: invalid int_list value: '-3,x'"),
+    ],
+)
+def test_unparsable_flag_values_name_the_flag(capsys, argv, prog, error):
+    # 1/0 once ended in a ZeroDivisionError traceback, and abc in an error that did not name --tail
+    assert dispatch_exit(capsys, argv.split()) == (2, f"gcdlab {prog}: error: argument {error}\n")
+
+
+def test_lalpha_metadata_keeps_alpha_as_a_fraction_string(capsys):
+    code, out = run_cli(capsys, "stats", "lalpha", "--samples", "3", "--alpha", "0.5", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["metadata"]["alpha"] == "1/2"
+
+
 # ---------------------------------------------------------------------------
 # argv fuzz: argv drawn from each command's flag grammar and run in-process.
 # An example is clean, or holds one argument error: a flag its command does
@@ -478,12 +544,12 @@ VALUES = {
     "key": (st.sampled_from(("beta2-1", "beta3-2")), ("nope",)),
     "n-hi": (st.integers(-2, 300), ()),
     "variant": (st.sampled_from(("prime", "twin")), ("x",)),
-    "alpha": (st.sampled_from(("1/2", "1", "1/3")), ("0", "-1/2", "3/2")),
+    "alpha": (st.sampled_from(("1/2", "1", "1/3")), ("0", "-1/2", "3/2", "1/0")),
     "samples": (st.integers(1, 5), (-1, 0)),
     "lo": (st.sampled_from((-5, 0, 10**3, 10**6)), ()),
     "hi": (st.sampled_from((3, 10**4, 10**7)), ()),
     "record": (st.integers(1, 10**6), (-1, 0)),
-    "tail": (st.sampled_from(("", "-3,-13", "-200")), ("3", "-1")),
+    "tail": (st.sampled_from(("", "-3,-13", "-200")), ("3", "-1", "abc")),
     "format": (st.sampled_from(("csv", "json")), ("xml",)),
 }
 OVERRIDES = {
