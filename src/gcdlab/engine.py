@@ -50,7 +50,9 @@ path's.
 The factorizations are done in-house: values below 2^20 are read off
 `primality._spf_table`, the smallest-prime-factor (SPF) table that is the
 package's one sieve (it also answers `is_prime` below 2^20 and seeds the
-segmented sieve of `primality.prime_flags`); larger ones are trial-divided
+segmented sieve of `primality.prime_flags`).  It is a stdlib array holding 0
+at the primes, so the scalar paths run without numpy; the lane path and
+prime_flags view it as a numpy int32 array.  Larger values are trial-divided
 by the primes below 2^12, and the cofactors left over are split by Brent's
 variant of Pollard rho and tested with `primality.is_prime`.
 """
@@ -162,7 +164,7 @@ def _spf_factors(q: int) -> list:
     t = _spf_table()
     out = []
     while q > 1:
-        p = int(t[q])
+        p = t[q] or q  # the table holds 0 at a prime
         out.append(p)
         while q % p == 0:
             q //= p
@@ -173,7 +175,7 @@ def _spf_factors(q: int) -> list:
 def _small_primes() -> tuple:
     """The primes below _TRIAL_LIMIT, in increasing order."""
     t = _spf_table()
-    return tuple(p for p in range(2, _TRIAL_LIMIT) if t[p] == p)
+    return tuple(p for p in range(2, _TRIAL_LIMIT) if t[p] == 0)
 
 
 def _brent_split(n: int) -> int:
@@ -449,9 +451,14 @@ def _lane_zeros(lane_runs, start_index: int, out: list) -> None:
     one numpy pass moving each by one event as run steps; after each pass
     the lanes that left are refilled from lane_runs.  A lane whose class
     values reach _SPF_LIMIT finishes on run, and so does the last lane once
-    lane_runs is empty, as one run alone does."""
+    lane_runs is empty, as one run alone does.  numpy is imported only once
+    a lane run arrives."""
+    first = next(lane_runs, None)
+    if first is None:
+        return
     import numpy as np
 
+    lane_runs = chain([first], lane_runs)
     position = n = a = beta = np.zeros(0, dtype=np.int64)
     spec = np.zeros(0, dtype=object)
     coeffs = np.zeros((0, 1, 1), dtype=np.int64)
@@ -513,12 +520,13 @@ def _next_events(n, x, q, beta):
     there is none, and value the class value at i."""
     import numpy as np
 
+    spf = np.frombuffer(_spf_table(), dtype=np.int32)
     best = x - 1
     lane, k = np.nonzero(q != 1)
     v = q[lane, k].astype(np.int32)  # below _SPF_LIMIT: the SPF table's dtype
     while lane.size:
-        p = _spf_table()[v]
-        p[v == 0] = 1  # q == 0: its class's first index is the event
+        p = spf[v]  # 0 where v is prime, its own smallest factor
+        p = np.where(p, p, np.maximum(v, 1))  # q == 0 takes p = 1: its class's first index is the event
         b, m = beta[lane], n[lane]
         i = m + 1 + (x[lane] - m - 1) % p
         # the first of i, i + p, ..., i + (b - 1)p in class k, if any

@@ -7,7 +7,6 @@ import inspect
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from multiprocessing import Pool
 
 from . import engine, primality
 from .engine import RunConfig
@@ -233,6 +232,8 @@ def _pool_map(fn, jobs: list, workers: int) -> list:
     """The lists fn returns for the jobs, joined in job order; in a pool of
     `workers` processes when workers > 1."""
     if workers > 1:
+        from multiprocessing import Pool
+
         with Pool(workers) as pool:
             parts = pool.map(fn, jobs)
     else:

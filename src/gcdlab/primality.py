@@ -8,6 +8,7 @@ values produced by the acceleration formulas.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -72,39 +73,37 @@ _spf = None
 
 
 def _spf_table():
-    """Smallest prime factor of every index below _SMALL_SIEVE_LIMIT (t[1] = 1).
+    """Smallest prime factor of every composite below _SMALL_SIEVE_LIMIT, as
+    an array("i") that is 0 at the primes and at 0 and 1.
 
     The package's one sieve: `is_prime` reads small verdicts off it, the
-    engine factors small values with it, and `prime_flags` slices it."""
+    engine factors small values with it, and `prime_flags` and the lane path
+    view it as numpy int32.  Each prime p below sqrt(limit), largest first,
+    writes p at p^2, p^2 + p, ..., so the smallest one is written last."""
     global _spf
     if _spf is None:
-        import numpy as np
-
-        t = np.zeros(_SMALL_SIEVE_LIMIT, dtype=np.int32)
-        for p in range(2, isqrt(_SMALL_SIEVE_LIMIT - 1) + 1):
-            if t[p] == 0:
-                multiples = t[p * p :: p]
-                multiples[multiples == 0] = p
-        unset = np.flatnonzero(t == 0)[1:]  # primes, and 1; index 0 stays 0
-        t[unset] = unset
+        t = array("i", [0]) * _SMALL_SIEVE_LIMIT
+        for p in range(isqrt(_SMALL_SIEVE_LIMIT - 1), 1, -1):
+            if all(p % d for d in range(2, isqrt(p) + 1)):
+                t[p * p :: p] = array("i", [p]) * len(range(p * p, _SMALL_SIEVE_LIMIT, p))
         _spf = t
     return _spf
 
 
 def prime_flags(lo: int, hi: int):
     """numpy bool array whose entry i says whether lo + i is prime, for
-    0 <= lo <= lo + i <= hi: a slice of the SPF table below
+    0 <= lo <= lo + i <= hi: a view of the SPF table below
     _SMALL_SIEVE_LIMIT, a segmented sieve above it."""
     import numpy as np
 
     if hi < _SMALL_SIEVE_LIMIT:
-        flags = _spf_table()[lo : hi + 1] == np.arange(lo, hi + 1)
+        flags = np.frombuffer(_spf_table(), dtype=np.int32)[lo : hi + 1] == 0
     else:
         flags = np.ones(hi - lo + 1, dtype=bool)
         for p in np.flatnonzero(prime_flags(0, isqrt(hi))).tolist():
             start = max(p * p, -(-lo // p) * p)
             flags[start - lo :: p] = False
-    # 0 and 1 are not prime, though t[0] = 0 and t[1] = 1 equal their index
+    # 0 and 1 are not prime, though the table holds 0 there
     flags[: max(0, 2 - lo)] = False
     return flags
 
@@ -136,7 +135,7 @@ def is_prime(n: int, policy: PrimalityPolicy = DEFAULT_POLICY) -> PrimalityVerdi
     if n < 2:
         return PrimalityVerdict(COMPOSITE)
     if n < _SMALL_SIEVE_LIMIT:
-        return PrimalityVerdict(PRIME if _spf_table().item(n) == n else COMPOSITE)
+        return PrimalityVerdict(COMPOSITE if _spf_table()[n] else PRIME)
     for p in _TRIAL_PRIMES:
         if n % p == 0:
             return PrimalityVerdict(COMPOSITE if n != p else PRIME)

@@ -204,20 +204,61 @@ def test_json_metadata_records_dispatch_argv(capsys):
     assert json.loads(out)["metadata"]["argv"] == argv
 
 
+def _fresh_python(script):
+    """The finished process of `python -c script`, with gcdlab importable."""
+    paths = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+
+
+def _cli_without(module, argv):
+    """The finished process of `gcdlab argv` in an interpreter where module
+    cannot be imported."""
+    return _fresh_python(
+        f"import runpy, sys; sys.modules[{module!r}] = None; "
+        f"sys.argv = ['gcdlab', *{argv!r}]; "
+        "runpy.run_module('gcdlab.cli', run_name='__main__')"
+    )
+
+
 def test_cli_runs_without_sympy(capsys):
     argv = ["stats", "upsilon-v", "--count", "5"]
     code, expected = run_cli(capsys, *argv)
     assert code == 0
-    script = (
-        "import runpy, sys; sys.modules['sympy'] = None; "
-        f"sys.argv = ['gcdlab', *{argv!r}]; "
-        "runpy.run_module('gcdlab.cli', run_name='__main__')"
-    )
-    paths = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    proc = _cli_without("sympy", argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "table appendix5 --p 2",
+        "run --spec rowland --initial 7 --mode forward --budget 30000",
+        "stats upsilon-v --count 5",
+        "stats lalpha --samples 20",
+        "scan beatty --n-hi 300",
+        "scan triplet --n-hi 300",
+    ],
+)
+def test_scalar_commands_run_without_numpy(capsys, argv):
+    # numpy is for array work only: the lane path, prime_flags and Legendre
+    code, expected = run_cli(capsys, *argv.split())
+    assert code == 0
+    proc = _cli_without("numpy", argv.split())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
+
+
+def test_goldbach_constant_imports_numpy_for_its_lanes():
+    # importing the CLI loads no numpy; the lane path of goldbach-constant does
+    argv = ["stats", "goldbach-constant", "--n-hi", "300"]
+    proc = _fresh_python(
+        "import sys; from gcdlab import cli; before = 'numpy' in sys.modules; "
+        f"code = cli.dispatch({argv!r}); print(code, before, 'numpy' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False True"
 
 
 def test_beatty_descent_past_364913_exit_0(capsys):

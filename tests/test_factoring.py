@@ -2,6 +2,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -17,15 +18,55 @@ def reference_factors(q):
     return set(sympy.factorint(q))
 
 
+def _reference_spf(n):
+    """Smallest prime factor of each k < n by a plain sieve; k itself at the
+    primes and at 0 and 1."""
+    spf = list(range(n))
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if spf[p] == p:
+            for k in range(p * p, n, p):
+                if spf[k] == k:
+                    spf[k] = p
+    return spf
+
+
+_REFERENCE_SPF = _reference_spf(10**5)
+
+
 def test_spf_table_matches_reference_sieve():
-    n = 10**5
-    ref = [0, 1] + [0] * (n - 2)
-    for p in range(2, n):
-        if ref[p] == 0:
-            for k in range(p, n, p):
-                if ref[k] == 0:
-                    ref[k] = p
-    assert engine._spf_table()[:n].tolist() == ref
+    # the table holds 0 at the primes and at 0 and 1
+    ref = [0 if s == k else s for k, s in enumerate(_REFERENCE_SPF)]
+    assert engine._spf_table()[: len(ref)].tolist() == ref
+
+
+def test_spf_factors_match_reference_sieve():
+    def distinct_factors(q):
+        out = []
+        while q > 1:
+            p = _REFERENCE_SPF[q]
+            out.append(p)
+            while q % p == 0:
+                q //= p
+        return out
+
+    qs = range(1, len(_REFERENCE_SPF))
+    assert [engine._spf_factors(q) for q in qs] == [distinct_factors(q) for q in qs]
+
+
+def test_next_events_on_prime_and_zero_class_values():
+    # lane 0's one class value is a prime, whose table entry is 0; lane 1's
+    # class-0 value is 0, whose event is that class's first index; lane 2
+    # mixes a composite and a prime.  Each agrees with the scalar finder.
+    n = np.array([10, 11, 12])
+    x = n + 1 + 500
+    q = np.array([[101, 1], [0, 6], [12, 97]])
+    beta = np.array([1, 2, 2])
+    i, value = engine._next_events(n, x, q, beta)
+    assert (i[1], value[1]) == (12, 0)
+    for lane in range(3):
+        polys = [[c] for c in q[lane, : beta[lane]].tolist()]
+        hit = engine._next_event(int(n[lane]), int(x[lane]), int(x[lane]) - 2, int(beta[lane]), polys)
+        assert (int(i[lane]), int(value[lane])) == hit
 
 
 # Brent rho costs about the square root of the second-largest prime factor,
