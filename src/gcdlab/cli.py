@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -319,6 +320,7 @@ def dispatch(argv=None) -> int:
 
 
 def main() -> None:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # no BLAS call, but numpy's import starts its threads
     sys.exit(dispatch())
 
 

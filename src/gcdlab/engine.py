@@ -50,11 +50,11 @@ path's.
 The factorizations are done in-house: values below 2^20 are read off
 `primality._spf_table`, the smallest-prime-factor (SPF) table that is the
 package's one sieve (it also answers `is_prime` below 2^20 and seeds the
-segmented sieve of `primality.prime_flags`).  It is a stdlib array holding 0
-at the primes, so the scalar paths run without numpy; the lane path and
-prime_flags view it as a numpy int32 array.  Larger values are trial-divided
-by the primes below 2^12, and the cofactors left over are split by Brent's
-variant of Pollard rho and tested with `primality.is_prime`.
+segmented sieve of `primality.prime_flags`).  It is a stdlib array (uint16,
+2 MB, odd multiples only) holding 0 at the primes, so the scalar paths run
+without numpy; the lane path and prime_flags view it as numpy uint16.  Larger
+values are trial-divided by the primes below 2^12, and the cofactors left over
+are split by Brent's variant of Pollard rho and tested by `primality.is_prime`.
 """
 from __future__ import annotations
 
@@ -520,10 +520,10 @@ def _next_events(n, x, q, beta):
     there is none, and value the class value at i."""
     import numpy as np
 
-    spf = np.frombuffer(_spf_table(), dtype=np.int32)
+    spf = np.frombuffer(_spf_table(), dtype=np.uint16)  # the SPF table: uint16, 2 MB, odd multiples only
     best = x - 1
     lane, k = np.nonzero(q != 1)
-    v = q[lane, k].astype(np.int32)  # below _SPF_LIMIT: the SPF table's dtype
+    v = q[lane, k].astype(np.int32)  # below _SPF_LIMIT; spf[v] promotes to int32 against it
     while lane.size:
         p = spf[v]  # 0 where v is prime, its own smallest factor
         p = np.where(p, p, np.maximum(v, 1))  # q == 0 takes p = 1: its class's first index is the event

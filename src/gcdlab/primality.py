@@ -74,18 +74,22 @@ _spf = None
 
 def _spf_table():
     """Smallest prime factor of every composite below _SMALL_SIEVE_LIMIT, as
-    an array("i") that is 0 at the primes and at 0 and 1.
+    an array("H") (uint16, 2 MB) that is 0 at the primes and at 0 and 1.
 
     The package's one sieve: `is_prime` reads small verdicts off it, the
     engine factors small values with it, and `prime_flags` and the lane path
-    view it as numpy int32.  Each prime p below sqrt(limit), largest first,
-    writes p at p^2, p^2 + p, ..., so the smallest one is written last."""
+    view it as numpy uint16 (every composite below 2^20 has a prime factor
+    below 2^10).  Even entries start at 2; then each odd prime p below
+    sqrt(limit), largest first, writes p at its odd multiples only, p^2,
+    p^2 + 2p, ..., so the smallest is written last and no temporary is larger
+    than p = 3's sixth of the table."""
     global _spf
     if _spf is None:
-        t = array("i", [0]) * _SMALL_SIEVE_LIMIT
-        for p in range(isqrt(_SMALL_SIEVE_LIMIT - 1), 1, -1):
-            if all(p % d for d in range(2, isqrt(p) + 1)):
-                t[p * p :: p] = array("i", [p]) * len(range(p * p, _SMALL_SIEVE_LIMIT, p))
+        t = array("H", [2, 0]) * (_SMALL_SIEVE_LIMIT // 2)
+        t[0] = t[2] = 0
+        for p in range(isqrt(_SMALL_SIEVE_LIMIT - 1) | 1, 2, -2):
+            if all(p % d for d in range(3, isqrt(p) + 1, 2)):
+                t[p * p :: 2 * p] = array("H", [p]) * len(range(p * p, _SMALL_SIEVE_LIMIT, 2 * p))
         _spf = t
     return _spf
 
@@ -97,7 +101,7 @@ def prime_flags(lo: int, hi: int):
     import numpy as np
 
     if hi < _SMALL_SIEVE_LIMIT:
-        flags = np.frombuffer(_spf_table(), dtype=np.int32)[lo : hi + 1] == 0
+        flags = np.frombuffer(_spf_table(), dtype=np.uint16)[lo : hi + 1] == 0
     else:
         flags = np.ones(hi - lo + 1, dtype=bool)
         for p in np.flatnonzero(prime_flags(0, isqrt(hi))).tolist():

@@ -261,6 +261,20 @@ def test_goldbach_constant_imports_numpy_for_its_lanes():
     assert proc.stdout.splitlines()[-1] == "0 False True"
 
 
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_main_keeps_openblas_to_one_thread_unless_set(monkeypatch, preset, expected):
+    # gcdlab makes no BLAS call, but importing numpy starts OpenBLAS's threads
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    if preset is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    proc = _fresh_python(
+        "import os, sys; from gcdlab import cli; sys.argv = ['gcdlab', 'scan', 'twin', '--n-hi', '10']\n"
+        "try: cli.main()\nexcept SystemExit as exit: print(exit.code, os.environ.get('OPENBLAS_NUM_THREADS'))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {expected}"
+
+
 def test_beatty_descent_past_364913_exit_0(capsys):
     # pi*364913 is within 6e-7 of an integer; the stored pi is exact there
     argv = ["run", "--spec", "beatty", "--initial", "400000", "--mode", "signed"]

@@ -1,6 +1,7 @@
 """Engine factoring: the SPF table and _prime_factors against sympy as oracle."""
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcdlab import engine
+from gcdlab import engine, primality
 from gcdlab.primality import DETERMINISTIC_BOUND
 
 factor = engine._prime_factors.__wrapped__  # bypass the LRU cache
@@ -19,51 +20,66 @@ def reference_factors(q):
 
 
 def _reference_spf(n):
-    """Smallest prime factor of each k < n by a plain sieve; k itself at the
-    primes and at 0 and 1."""
-    spf = list(range(n))
+    """Smallest prime factor of each k < n by a plain sieve, smallest prime
+    first; 0 at the primes and at 0 and 1."""
+    spf = np.zeros(n, dtype=np.int64)
     for p in range(2, math.isqrt(n - 1) + 1):
-        if spf[p] == p:
-            for k in range(p * p, n, p):
-                if spf[k] == k:
-                    spf[k] = p
+        if spf[p] == 0:
+            multiples = spf[p * p :: p]
+            multiples[multiples == 0] = p
     return spf
 
 
-_REFERENCE_SPF = _reference_spf(10**5)
+_REFERENCE_SPF = _reference_spf(primality._SMALL_SIEVE_LIMIT)
 
 
 def test_spf_table_matches_reference_sieve():
-    # the table holds 0 at the primes and at 0 and 1
-    ref = [0 if s == k else s for k, s in enumerate(_REFERENCE_SPF)]
-    assert engine._spf_table()[: len(ref)].tolist() == ref
+    # every entry, in the 2-byte type that every composite's entry fits
+    table = engine._spf_table()
+    assert table.typecode == "H"
+    assert table.tolist() == _REFERENCE_SPF.tolist()
+
+
+def test_spf_table_build_makes_no_full_length_temporary(monkeypatch):
+    # the 2 MB table itself, plus at most a sixth of it for p = 3's slice
+    monkeypatch.setattr(primality, "_spf", None)
+    tracemalloc.start()
+    try:
+        primality._spf_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
 
 
 def test_spf_factors_match_reference_sieve():
     def distinct_factors(q):
         out = []
         while q > 1:
-            p = _REFERENCE_SPF[q]
+            p = int(_REFERENCE_SPF[q]) or q
             out.append(p)
             while q % p == 0:
                 q //= p
         return out
 
-    qs = range(1, len(_REFERENCE_SPF))
+    qs = range(1, 10**5)
     assert [engine._spf_factors(q) for q in qs] == [distinct_factors(q) for q in qs]
 
 
 def test_next_events_on_prime_and_zero_class_values():
     # lane 0's one class value is a prime, whose table entry is 0; lane 1's
     # class-0 value is 0, whose event is that class's first index; lane 2
-    # mixes a composite and a prime.  Each agrees with the scalar finder.
-    n = np.array([10, 11, 12])
-    x = n + 1 + 500
-    q = np.array([[101, 1], [0, 6], [12, 97]])
-    beta = np.array([1, 2, 2])
+    # mixes a composite and a prime.  Lanes 3-5 read the top of the uint16
+    # table, promoted against the int32 values: 1021^2 holds its largest
+    # entry, 1048573 is the largest prime below 2^20, 1048574 = 2 * 524287.
+    # Each agrees with the scalar finder.
+    n = np.array([10, 11, 12, 13, 14, 15])
+    x = n + 1 + 3_000_000
+    q = np.array([[101, 1], [0, 6], [12, 97], [1042441, 1048573], [1048574, 1042441], [1048573, 1]])
+    beta = np.array([1, 2, 2, 2, 2, 1])
     i, value = engine._next_events(n, x, q, beta)
     assert (i[1], value[1]) == (12, 0)
-    for lane in range(3):
+    for lane in range(len(n)):
         polys = [[c] for c in q[lane, : beta[lane]].tolist()]
         hit = engine._next_event(int(n[lane]), int(x[lane]), int(x[lane]) - 2, int(beta[lane]), polys)
         assert (int(i[lane]), int(value[lane])) == hit
