@@ -7,7 +7,8 @@ prime p divides both a(i - 1) and g(i); since p | a(i - 1) means i = x (mod p),
 with x = s + 1 backward and x = 1 - c forward, and g(i) = polys[sel(i)](i), that
 is where p divides polys[sel(i)](x).  `residue_polys()` gives (sel, polys): an
 int period beta (sel(i) = i mod beta) or a callable such as BeattyTwin's digit.
-It is each family's only statement of g; `eval_arg` is derived from it.
+It is derived from each family's one statement of g, its factored form
+`residue_factors()`, as are `eval_arg` and the claim map `claim_values`.
 So a run jumps from event to event on the prime factors of a few polynomial
 values, turning ~10^8-step tables into a few thousand factorizations.
 
@@ -43,9 +44,9 @@ and each prime's candidate index by _next_event's rules.  After each pass
 the lanes that left are refilled with the next runs, so the passes stay
 full until the runs run out.  A lane whose class values reach 2^20 finishes
 on the scalar path from its current state, and so does the last lane once
-no run is left; runs whose values could leave int64, and single runs, take
-the scalar path throughout.  The zeros, and so every output, are the scalar
-path's.
+no run is left; runs whose values could leave int64, and a call's lone lane
+run, take the scalar path throughout, the latter without importing numpy.
+The zeros, and so every output, are the scalar path's.
 
 The factorizations are done in-house: values below 2^20 are read off
 `primality._spf_table`, the smallest-prime-factor (SPF) table that is the
@@ -451,14 +452,16 @@ def _lane_zeros(lane_runs, start_index: int, out: list) -> None:
     one numpy pass moving each by one event as run steps; after each pass
     the lanes that left are refilled from lane_runs.  A lane whose class
     values reach _SPF_LIMIT finishes on run, and so does the last lane once
-    lane_runs is empty, as one run alone does.  numpy is imported only once
-    a lane run arrives."""
-    first = next(lane_runs, None)
-    if first is None:
+    lane_runs is empty.  Fewer than two lane runs in all finish on run
+    before numpy is imported."""
+    head = list(islice(lane_runs, 2))
+    if len(head) < 2:
+        for at, spec, initial, _ in head:
+            out[at] = _first_zero(spec, initial, start_index, None)
         return
     import numpy as np
 
-    lane_runs = chain([first], lane_runs)
+    lane_runs = chain(head, lane_runs)
     position = n = a = beta = np.zeros(0, dtype=np.int64)
     spec = np.zeros(0, dtype=object)
     coeffs = np.zeros((0, 1, 1), dtype=np.int64)

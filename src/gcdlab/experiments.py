@@ -381,13 +381,7 @@ def legendre_count(N: int) -> int:
     """Number of k in [2, 2N] with N^2+k+1 and (N+1)^2-k simultaneously prime."""
     if N < 2:
         raise ValueError("N must be >= 2")
-    lo, hi = N * N + 1, (N + 1) * (N + 1)
-    flags = primality.prime_flags(lo, hi)
-    count = 0
-    for k in range(2, 2 * N + 1):
-        if flags[N * N + k + 1 - lo] and flags[(N + 1) ** 2 - k - lo]:
-            count += 1
-    return count
+    return _legendre_chunk((N, N))[0][1]
 
 
 def legendre_holds(N: int) -> bool:

@@ -1,12 +1,13 @@
 """The gcd-argument families g(n) and their prime-claim maps.
 
-Each variant states two things: its polynomial form residue_polys() =
-(sel, polys) with g(n) = polys[sel(n)](n), where sel is an int period beta
-(n mod beta) or a callable, and which values are asserted prime when the
-recursion hits zero at index n (the claim map, claim_values).  The form is
-the only definition of g: the engine's jumps and its naive stepping read it
-(the latter through eval_form), and eval_arg(n) is derived from it by the
-Family base.
+Each variant states g once, as residue_factors() = (sel, classes): g(n) is
+the product of the factor polynomials Q_j in classes[sel(n)], sel being an
+int period beta (n mod beta) or a callable.  The paper's claim is the same
+for every such g: where the recursion reaches zero at n, each Q_j(n + 1) is
+prime.  So the Family base derives residue_polys() = (sel, polys), the
+class products that the engine reads (its naive stepping via eval_form);
+eval_arg(n) = polys[sel(n)](n); and claim_values(n), the sorted distinct
+Q_j(n + 1), which the Goldbach families override to keep a repeated summand.
 
 Its spec string, tag:key=value,..., is stated once too: the tag in its class
 statement and a _key field per key, from which Family.spec_str and
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import MISSING, dataclass, field, fields
+from functools import reduce
 
 
 class NoClaimDefined(ValueError):
@@ -110,10 +112,6 @@ def floor_pi_times(n: int) -> int:
     return _PI_NUM * n // _PI_DEN
 
 
-def _sorted_claims(values):
-    return sorted(set(values))
-
-
 # ---------------------------------------------------------------------------
 # variants
 
@@ -153,18 +151,32 @@ _FAMILIES = {}  # tag -> family class
 
 
 class Family:
-    """Base of the variants.  g is stated once, as residue_polys() = (sel,
-    polys), and eval_arg(n) = polys[sel(n)](n) is derived from it.  The spec
-    string is stated once too: the tag in the class statement and a _key
-    field per key, from which spec_str and parse_spec both derive."""
+    """Base of the variants.  g is stated once, as residue_factors() = (sel,
+    classes), and residue_polys, eval_arg and claim_values derive from it.
+    The spec string is stated once too: the tag in the class statement and a
+    _key field per key, from which spec_str and parse_spec both derive."""
 
     def __init_subclass__(cls, tag: str, **kw):
         super().__init_subclass__(**kw)
         cls.tag = tag
         _FAMILIES[tag] = cls
 
+    def residue_polys(self):
+        """(sel, polys) with g(n) = polys[sel(n)](n): each class's product,
+        a single factor copied as a list."""
+        sel, classes = self.residue_factors()
+        return sel, [reduce(poly_mul, rest, list(first)) for first, *rest in classes]
+
     def eval_arg(self, n: int) -> int:
         return eval_form(self.residue_polys(), n)
+
+    def _factor_values(self, n: int):
+        """Q_j(n + 1) for every factor of every class, repeats kept."""
+        return [poly_eval(f, n + 1) for factors in self.residue_factors()[1] for f in factors]
+
+    def claim_values(self, n: int):
+        """The values asserted prime when the recursion reaches zero at n."""
+        return sorted(set(self._factor_values(n)))
 
     def spec_str(self) -> str:
         """tag:key=value,... in field order, less the keys at their default."""
@@ -182,11 +194,8 @@ class AffineMinus(Family, tag="affine"):
 
     m: int = _key(_INT)
 
-    def claim_values(self, n: int):
-        return [self.m * n + self.m - 1]
-
-    def residue_polys(self):
-        return 1, [[-1, self.m]]
+    def residue_factors(self):
+        return 1, [[[-1, self.m]]]
 
 
 @dataclass(frozen=True)
@@ -200,16 +209,13 @@ class PowerMinus(Family, tag="power"):
         if self.b < 1 or self.c < 1:
             raise ValueError(f"power needs b >= 1 and c >= 1, got b={self.b}, c={self.c}")
 
-    def claim_values(self, n: int):
-        return [self.b * (n + 1) ** self.c - 1]
-
-    def residue_polys(self):
-        return 1, [[-1] + [0] * (self.c - 1) + [self.b]]
+    def residue_factors(self):
+        return 1, [[[-1] + [0] * (self.c - 1) + [self.b]]]
 
 
 @dataclass(frozen=True)
 class PrimePowerMinusOne(Family, tag="primepower"):
-    """g(n) = n^p - 1; claims n and ((n+1)^p - 1)/n."""
+    """g(n) = n^p - 1 = (n-1)(1 + n + ... + n^(p-1)); claims n and ((n+1)^p - 1)/n."""
 
     p: int = _key(_INT)
 
@@ -217,11 +223,8 @@ class PrimePowerMinusOne(Family, tag="primepower"):
         if self.p < 1:
             raise ValueError(f"primepower needs p >= 1, got p={self.p}")
 
-    def claim_values(self, n: int):
-        return _sorted_claims([n, ((n + 1) ** self.p - 1) // n])
-
-    def residue_polys(self):
-        return 1, [[-1] + [0] * (self.p - 1) + [1]]
+    def residue_factors(self):
+        return 1, [[[-1, 1], [1] * self.p]]
 
 
 @dataclass(frozen=True)
@@ -230,22 +233,16 @@ class QuadShift(Family, tag="quadshift"):
 
     m: int = _key(_INT)
 
-    def claim_values(self, n: int):
-        return _sorted_claims([n + 1, n + 2 * self.m + 1])
-
-    def residue_polys(self):
-        return 1, [[0, 2 * self.m, 1]]
+    def residue_factors(self):
+        return 1, [[[0, 1], [2 * self.m, 1]]]
 
 
 @dataclass(frozen=True)
 class TripletProduct(Family, tag="triplet"):
     """g(n) = n(n+2)(n+6); claims the (p, p+2, p+6) triplet at n+1."""
 
-    def claim_values(self, n: int):
-        return [n + 1, n + 3, n + 7]
-
-    def residue_polys(self):
-        return 1, [[0, 12, 8, 1]]
+    def residue_factors(self):
+        return 1, [[[0, 1], [2, 1], [6, 1]]]
 
 
 @dataclass(frozen=True)
@@ -259,11 +256,8 @@ class Polynomial(Family, tag="poly"):
         if not any(self.coeffs):
             raise ValueError("polynomial needs a nonzero coefficient")
 
-    def claim_values(self, n: int):
-        return [poly_eval(self.coeffs, n + 1)]
-
-    def residue_polys(self):
-        return 1, [list(self.coeffs)]
+    def residue_factors(self):
+        return 1, [[self.coeffs]]
 
 
 @dataclass(frozen=True)
@@ -277,14 +271,8 @@ class FactoredPolynomial(Family, tag="factored"):
         if not self.factors:
             raise ValueError("need at least one factor")
 
-    def claim_values(self, n: int):
-        return _sorted_claims(poly_eval(f, n + 1) for f in self.factors)
-
-    def residue_polys(self):
-        prod = [1]
-        for f in self.factors:
-            prod = poly_mul(prod, list(f))
-        return 1, [prod]
+    def residue_factors(self):
+        return 1, [self.factors]
 
 
 @dataclass(frozen=True)
@@ -299,13 +287,10 @@ class PeriodicAffine(Family, tag="periodic"):
         if not self.offsets:
             raise ValueError("offsets must be non-empty")
 
-    def claim_values(self, n: int):
-        return _sorted_claims(self.m * (n + 1) + b for b in self.offsets)
-
-    def residue_polys(self):
+    def residue_factors(self):
         # class r = n mod beta holds the offset b(n) = offsets[r - 1]
         offsets = self.offsets[-1:] + self.offsets[:-1]
-        return len(offsets), [[b, self.m] for b in offsets]
+        return len(offsets), [[[b, self.m]] for b in offsets]
 
 
 @dataclass(frozen=True)
@@ -324,93 +309,81 @@ class PeriodicFactorSchedule(Family, tag="periodic-factored"):
         if sorted(self.schedule) != list(range(1, len(self.factors) + 1)):
             raise ValueError("schedule must be a permutation of 1..beta")
 
-    def claim_values(self, n: int):
-        return _sorted_claims(poly_eval(f, n + 1) for f in self.factors)
-
-    def residue_polys(self):
+    def residue_factors(self):
         # class r = n mod beta holds Q_{schedule[r - 1]}
         schedule = self.schedule[-1:] + self.schedule[:-1]
-        return len(schedule), [list(self.factors[j - 1]) for j in schedule]
+        return len(schedule), [[self.factors[j - 1]] for j in schedule]
 
 
 @dataclass(frozen=True)
 class ShiftedIndex(Family, tag="shifted"):
     """g(n) = n - 1; the claim at a zero is the index itself."""
 
-    def claim_values(self, n: int):
-        return [n]
-
-    def residue_polys(self):
-        return 1, [[-1, 1]]
+    def residue_factors(self):
+        return 1, [[[-1, 1]]]
 
 
 @dataclass(frozen=True)
 class AlternatingLinear(Family, tag="alt-linear"):
     """g(n) = n + (-1)^n; twin claim (n, n+2) at a zero."""
 
-    def claim_values(self, n: int):
-        return [n, n + 2]
-
-    def residue_polys(self):
+    def residue_factors(self):
         # class 0: even n -> n+1 ; class 1: odd n -> n-1
-        return 2, [[1, 1], [-1, 1]]
+        return 2, [[[1, 1]], [[-1, 1]]]
 
 
 @dataclass(frozen=True)
 class ShevelevLinear(Family, tag="shevelev"):
     """g(n) = n - 1 + (-1)^n, the forward twin-record drive (no zero claim)."""
 
+    def residue_factors(self):
+        return 2, [[[0, 1]], [[-2, 1]]]
+
     def claim_values(self, n: int):
         raise NoClaimDefined("shevelev claims live on forward records, not zeros")
-
-    def residue_polys(self):
-        return 2, [[0, 1], [-2, 1]]
 
 
 @dataclass(frozen=True)
 class AlternatingQuad(Family, tag="alt-quad"):
     """g(n) = 2n^2 + (-1)^n; twin claim (2(n+1)^2 - 1, 2(n+1)^2 + 1)."""
 
-    def claim_values(self, n: int):
-        base = 2 * (n + 1) ** 2
-        return [base - 1, base + 1]
-
-    def residue_polys(self):
-        return 2, [[1, 0, 2], [-1, 0, 2]]
+    def residue_factors(self):
+        return 2, [[[1, 0, 2]], [[-1, 0, 2]]]
 
 
 @dataclass(frozen=True)
 class GoldbachProduct(Family, tag="goldbach"):
-    """g(n) = (n-1)(2N-n+1); decomposition claim (g_N, 2N-g_N)."""
+    """g(n) = (n-1)(2N-n+1); decomposition claim (g_N, 2N-g_N), which keeps a
+    repeated summand: N = 7 at n = 7 claims [7, 7]."""
 
     N: int = _key(_INT)
 
-    def claim_values(self, n: int):
-        return sorted([n, 2 * self.N - n])
+    def residue_factors(self):
+        return 1, [[[-1, 1], [2 * self.N + 1, -1]]]
 
-    def residue_polys(self):
-        # (n-1)(2N+1-n) = -(2N+1) + (2N+2) n - n^2
-        return 1, [[-(2 * self.N + 1), 2 * self.N + 2, -1]]
+    def claim_values(self, n: int):
+        return sorted(self._factor_values(n))
 
 
 @dataclass(frozen=True)
 class GoldbachAlt(Family, tag="goldbach-alt"):
     """g(n) = N - (-1)^n (N-n): n at even steps, 2N-n at odd steps.
 
-    Claim at a zero g_N: the Goldbach pair (g_N+1, 2N-g_N-1).
+    Claim at a zero g_N: the Goldbach pair (g_N+1, 2N-g_N-1), which keeps a
+    repeated summand: N = 7 at n = 6 claims [7, 7].
     """
 
     N: int = _key(_INT)
     flip: bool = _key(_FLAG, default=False)  # swap the parity roles (used by the threshold scan)
 
-    def claim_values(self, n: int):
-        return sorted([n + 1, 2 * self.N - n - 1])
-
-    def residue_polys(self):
+    def residue_factors(self):
         even_poly, odd_poly = [0, 1], [2 * self.N, -1]
         if self.flip:
             even_poly, odd_poly = odd_poly, even_poly
-        return 2, [even_poly, odd_poly]
+        return 2, [[even_poly], [odd_poly]]
+
+    def claim_values(self, n: int):
+        return sorted(self._factor_values(n))
 
 
 @dataclass(frozen=True)
@@ -422,22 +395,19 @@ class BeattyTwin(Family, tag="beatty"):
         """r_n / 2: 1 where g(n) = n + 2, 0 where g(n) = n."""
         return floor_pi_times(n) - floor_pi_times(n - 1) - 3
 
-    def claim_values(self, n: int):
-        return [n + 1, n + 3]
-
-    def residue_polys(self):
-        return self.select, [[0, 1], [2, 1]]
+    def residue_factors(self):
+        return self.select, [[[0, 1]], [[2, 1]]]
 
 
 @dataclass(frozen=True)
 class RowlandIndex(Family, tag="rowland"):
     """g(n) = n, the classic forward-additive drive (no zero claim)."""
 
+    def residue_factors(self):
+        return 1, [[[0, 1]]]
+
     def claim_values(self, n: int):
         raise NoClaimDefined("rowland claims live on forward records, not zeros")
-
-    def residue_polys(self):
-        return 1, [[0, 1]]
 
 
 # ---------------------------------------------------------------------------

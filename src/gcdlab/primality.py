@@ -184,11 +184,7 @@ def prev_prime(n: int, policy: PrimalityPolicy = DEFAULT_POLICY) -> int:
     """Largest prime <= n (n >= 3)."""
     if n < 3:
         raise ValueError("prev_prime requires n >= 3")
-    if n == 3:
-        return 3
     c = n if n % 2 else n - 1
-    while c >= 3:
-        if delta(c, policy):
-            return c
+    while not delta(c, policy):  # stops at 3 at the latest
         c -= 2
-    return 2  # unreachable for n >= 3, kept for safety
+    return c

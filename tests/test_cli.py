@@ -239,10 +239,13 @@ def test_cli_runs_without_sympy(capsys):
         "stats lalpha --samples 20",
         "scan beatty --n-hi 300",
         "scan triplet --n-hi 300",
+        "goldbach 1000",
+        "goldbach 1000 --variant product",
     ],
 )
 def test_scalar_commands_run_without_numpy(capsys, argv):
-    # numpy is for array work only: the lane path, prime_flags and Legendre
+    # numpy is for array work only: the lane path, prime_flags and Legendre;
+    # goldbach's one lane run takes the scalar path
     code, expected = run_cli(capsys, *argv.split())
     assert code == 0
     proc = _cli_without("numpy", argv.split())

@@ -1,4 +1,5 @@
 """Engine: backward descent (naive and jump-accelerated), forward addition."""
+import re
 from copy import copy
 from functools import cache
 from math import gcd, prod
@@ -133,6 +134,35 @@ def test_budget_flag_and_exhaustion():
 def test_nonterminating_zero_request():
     with pytest.raises(engine.NonterminatingZeroRequest):
         engine.run(RunConfig(initial=0, arg=AffineMinus(m=1), stop_after_zeros=1))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: RunConfig(1, RowlandIndex(), "sideways"), "unknown mode 'sideways'", id="mode"),
+        pytest.param(lambda: RunConfig(1, RowlandIndex(), budget=0), "budget must be >= 1", id="budget"),
+        pytest.param(
+            lambda: RunConfig(1, RowlandIndex(), stop_after_zeros=0), "stop_after_zeros must be >= 1", id="stop"
+        ),
+        pytest.param(lambda: RunConfig(-1, RowlandIndex()), "initial must be >= 0", id="initial"),
+        pytest.param(lambda: engine.zeros(RunConfig(1, AffineMinus(m=1)), 0), "count must be >= 1", id="count"),
+        pytest.param(
+            lambda: engine.forward_record_indices(RunConfig(7, RowlandIndex())),
+            "forward_record_indices requires forward mode",
+            id="records-of-a-descent",
+        ),
+    ],
+)
+def test_bad_run_arguments_rejected(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_a_requested_zero_reached_by_the_step_from_zero():
+    # a(2) = 0, and the naive step from it lands on g(3) = 0, the second zero
+    spec = parse_spec("poly:p=x-3")
+    assert engine.zeros(RunConfig(1, spec), 2) == [2, 3]
+    assert_backward_matches_naive(1, spec, 10, engine.ABS_BACKWARD, 1, 2, lambda n: n - 3)
 
 
 def test_first_zero_guard():
@@ -479,6 +509,7 @@ FORWARD_SPECS = {
     budget=st.integers(1, 3000),
     start=st.integers(0, 50),
 )
+@example(spec=ShevelevLinear(), initial=7, budget=300, start=4)  # a(7) = 15 = 2*7 + 1 at an event
 @settings(max_examples=150, deadline=None)
 def test_forward_jump_equals_naive(spec, initial, budget, start):
     cfg = RunConfig(initial=initial, arg=spec, mode=engine.FORWARD_ADD, start_index=start, budget=budget)

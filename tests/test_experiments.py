@@ -180,6 +180,13 @@ def test_conj8_twin_suite_no_violations_small():
             assert ok, (N, pid)
 
 
+def test_conj8_below_4_and_unknown_variant():
+    for N in range(4):
+        assert conj8_property_check(N, "prime") == conj8_property_check(N, "twin") == []
+    with pytest.raises(ValueError, match="unknown variant 'cousin'"):
+        conj8_property_check(10, "cousin")
+
+
 def test_conj8_twin_example_102():
     checks = dict(conj8_property_check(102, "twin"))
     assert checks["4"]  # h(102)=101 with (101, 103) twin
@@ -215,12 +222,20 @@ def test_goldbach_constant_series_positive():
     assert 0 < series[-1][1] <= 4
 
 
+def legendre_direct(N):
+    """The Legendre count k by k with is_prime: a reference that reads no sieve."""
+    return sum(
+        1
+        for k in range(2, 2 * N + 1)
+        if primality.is_prime(N * N + k + 1) and primality.is_prime((N + 1) ** 2 - k)
+    )
+
+
 def test_legendre_count_examples():
     assert legendre_count(2) == 1
-    # series implementation must agree with the direct count
-    direct = {N: legendre_count(N) for N in range(2, 80)}
-    for N, c in legendre_series(79):
-        assert direct[N] == c
+    direct = {N: legendre_direct(N) for N in range(2, 80)}
+    assert {N: legendre_count(N) for N in direct} == direct
+    assert dict(legendre_series(79)) == direct
     assert all(legendre_holds(N) for N in range(175, 400))
 
 
@@ -251,13 +266,6 @@ def test_conj7_f_and_L_quadratic_below_one():
 
 def test_legendre_count_across_the_sieve_limit():
     # the sieve window (N^2, (N+1)^2] reaches 2^20 at N = 1023
-    def direct(N):
-        return sum(
-            1
-            for k in range(2, 2 * N + 1)
-            if primality.is_prime(N * N + k + 1) and primality.is_prime((N + 1) ** 2 - k)
-        )
-
-    counts = {N: direct(N) for N in range(1020, 1031)}
+    counts = {N: legendre_direct(N) for N in range(1020, 1031)}
     assert {N: legendre_count(N) for N in counts} == counts
     assert dict(legendre_series(1030, n_lo=1020)) == counts

@@ -21,6 +21,8 @@ def test_poly_parse_eval_roundtrip():
         G.parse_poly("2x^2-3x+")
     with pytest.raises(G.SpecParseError):
         G.parse_poly("")
+    assert G.parse_poly("(x+1)") == [1, 1]
+    assert G.parse_poly("x^2+x-x^2") == [0, 1]  # the cancelled x^2 is dropped
 
 
 @given(st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(any))
@@ -123,6 +125,39 @@ CLOSED_FORM = {
 }
 ALL_SPECS = list(CLOSED_FORM)
 
+# every ALL_SPECS family with a zero claim: the values asserted prime when the
+# recursion reaches zero at n, written out by hand from its class docstring
+# (every factor of g at n + 1), as an oracle for the claim_values that Family
+# derives from residue_factors()
+CLAIM_FORM = {
+    G.AffineMinus(m=5): lambda n: [5 * (n + 1) - 1],
+    G.PowerMinus(b=2, c=3): lambda n: [2 * (n + 1) ** 3 - 1],
+    # ((n+1)^3 - 1)/n, written out so that n = 0 has a value
+    G.PrimePowerMinusOne(p=3): lambda n: sorted({n, (n + 1) ** 2 + (n + 1) + 1}),
+    G.QuadShift(m=2): lambda n: [n + 1, n + 5],
+    G.TripletProduct(): lambda n: [n + 1, n + 3, n + 7],
+    G.Polynomial(coeffs=(-1, 0, 2)): lambda n: [2 * (n + 1) ** 2 - 1],
+    G.FactoredPolynomial(factors=((1, 0, 1), (3, 0, 1))): lambda n: [(n + 1) ** 2 + 1, (n + 1) ** 2 + 3],
+    # m(n+1) + b for every offset b
+    G.PeriodicAffine(m=1, offsets=(0, 2)): lambda n: [n + 1, n + 3],
+    # every Q_j(n+1), whatever the schedule
+    G.PeriodicFactorSchedule(factors=((1, 0, 1), (3, 0, 1)), schedule=(2, 1)): (
+        lambda n: [(n + 1) ** 2 + 1, (n + 1) ** 2 + 3]
+    ),
+    G.PeriodicAffine(m=3, offsets=(-1, 4, 0)): lambda n: [3 * n + 2, 3 * n + 3, 3 * n + 7],
+    G.PeriodicFactorSchedule(factors=((1, 0, 1), (3, 0, 1), (1, 1)), schedule=(2, 3, 1)): (
+        lambda n: sorted({(n + 1) ** 2 + 1, (n + 1) ** 2 + 3, n + 2})
+    ),
+    G.ShiftedIndex(): lambda n: [n],
+    G.AlternatingLinear(): lambda n: [n, n + 2],
+    G.AlternatingQuad(): lambda n: [2 * (n + 1) ** 2 - 1, 2 * (n + 1) ** 2 + 1],
+    # the Goldbach pairs keep a repeated summand
+    G.GoldbachProduct(N=50): lambda n: sorted([n, 2 * 50 - n]),
+    G.GoldbachAlt(N=50): lambda n: sorted([n + 1, 2 * 50 - n - 1]),
+    G.GoldbachAlt(N=50, flip=True): lambda n: sorted([n + 1, 2 * 50 - n - 1]),
+    G.BeattyTwin(): lambda n: [n + 1, n + 3],
+}
+
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.spec_str())
 def test_spec_string_roundtrip(spec):
@@ -154,6 +189,19 @@ def test_eval_arg_matches_closed_form(spec):
 def test_every_family_has_a_closed_form():
     # so that every family takes the eval and round-trip tests above
     assert {spec.tag for spec in CLOSED_FORM} == set(G._FAMILIES)
+
+
+@pytest.mark.parametrize("spec", list(CLAIM_FORM), ids=lambda s: s.spec_str())
+def test_claim_values_match_claim_form(spec):
+    claim = CLAIM_FORM[spec]
+    for n in [*range(-5, 2001), 2**70 + 1]:
+        assert spec.claim_values(n) == claim(n), n
+
+
+def test_every_claim_bearing_family_has_a_claim_form():
+    assert set(CLAIM_FORM) <= set(ALL_SPECS)
+    # the other two raise NoClaimDefined (test_no_claim_families_raise)
+    assert {spec.tag for spec in CLAIM_FORM} == set(G._FAMILIES) - {"rowland", "shevelev"}
 
 
 # field values by spec-key codec, in the shapes parse_spec builds them
@@ -225,6 +273,8 @@ def test_parse_spec_errors():
         ("nope", "unknown spec tag 'nope'"),
         ("triplet:m=1", "triplet takes no parameters"),
         ("periodic-factored:q=,schedule=", "bad spec 'periodic-factored:q=,schedule=': empty polynomial"),
+        ("poly:p=x^2+y", "bad polynomial term '+y' in 'x^2+y'"),
+        ("poly:p=x-x", "zero polynomial 'x-x'"),
     ]:
         with pytest.raises(G.SpecParseError, match=re.escape(message)):
             G.parse_spec(bad)
@@ -248,6 +298,13 @@ def test_claim_examples():
     assert G.GoldbachProduct(N=8).claim_values(3) == [3, 13]
     assert G.GoldbachAlt(N=8).claim_values(4) == [5, 11]
     assert G.BeattyTwin().claim_values(100) == [101, 103]
+
+
+def test_goldbach_claims_keep_a_repeated_summand():
+    # 7 + 7 = 14: the first zero of goldbach-alt:N=7 is at 6
+    assert G.GoldbachAlt(N=7).claim_values(6) == [7, 7]
+    for N in range(2, 200):
+        assert G.GoldbachProduct(N=N).claim_values(N) == [N, N]
 
 
 def test_goldbach_claims_sum_to_2N():

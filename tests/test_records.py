@@ -101,6 +101,18 @@ def test_family_mismatch_rejected():
 def test_tail_validation():
     with pytest.raises(ValueError):
         records.RecordJump(9, [-1], AffineMinus(m=2))  # -1 steps are never harvested
+    with pytest.raises(ValueError, match="prev_record must be >= 1"):
+        records.RecordJump(0, [], AffineMinus(m=2))
+    # (m+1)w + m + m*sum(d + 1) = 3 + 2 - 18 is no record
+    with pytest.raises(records.InconsistentTail, match="predicted record -13 is not positive"):
+        records.predict_next_affine(2, records.RecordJump(1, [-10], AffineMinus(m=2)))
+
+
+def test_second_record_candidate_rejects_a_short_trace():
+    # the window floor(100^1) = 100 needs the trace to reach index 101
+    short = engine.run(RunConfig(initial=1, arg=AffineMinus(m=100), budget=10))
+    with pytest.raises(ValueError, match="trace too short for the requested window"):
+        records.second_record_candidate(100, 1, short)
 
 
 def test_second_record_candidate_full_window_is_exact():
