@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec")
     p.add_argument("--initial", type=int)
     p.add_argument("--n-hi", type=int)
-    p.add_argument("--variant", choices=("prime", "twin"))
+    p.add_argument("--variant", choices=tuple(experiments._C8_SPECS))
     _add_flags(p, _cmd_table, "seed", "mr-rounds")
 
     p = sub.add_parser("scan", help="threshold scan over starting values")
@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("goldbach", help="Goldbach decomposition for one N")
     p.add_argument("N", type=int)
-    p.add_argument("--variant", choices=("product", "alternating"), default="alternating")
+    p.add_argument("--variant", choices=tuple(experiments._GOLDBACH), default="alternating")
     _add_flags(p, _cmd_goldbach, "seed", "mr-rounds")
 
     return ap

@@ -31,10 +31,10 @@ time instead.
 Descents of one g share their paths.  For a fixed g the first zero reached
 from a state (n, a) depends on that state alone, so first_zeros keeps one
 memo from each state a descent reached just after an event to the first zero
-reached from there, shared by consecutive runs whose spec is one object.  A
-descent that reaches a stored state has merged into a stored path, and ends
-at that path's zero.  In the threshold scans 84-96% of the events come after
-such a merge.
+reached from there, shared by a stretch: consecutive runs whose specs are
+equal, so one g.  A descent that reaches a stored state has merged into a
+stored path, and ends at that path's zero.  In the threshold scans 84-96% of
+the events come after such a merge.
 
 Descents of different g share nothing, so first_zeros moves them side by
 side on the lane path: up to _LANES runs at a time as numpy arrays of (n, a,
@@ -64,6 +64,7 @@ from dataclasses import dataclass, field, replace
 from functools import cache, lru_cache
 from itertools import chain, cycle, groupby, islice
 from math import gcd
+from operator import itemgetter
 
 from .generators import eval_form, poly_eval
 from .primality import _SMALL_SIEVE_LIMIT as _SPF_LIMIT, _spf_table, is_prime
@@ -306,7 +307,7 @@ def run(config: RunConfig, *, memo: dict | None = None) -> Trace:
     if not forward and want is not None and config.initial == 0:
         raise NonterminatingZeroRequest("zero requested but the run starts at zero")
     trace = Trace(forward_steps=[] if forward else None)
-    sel, polys = config.arg.residue_polys()
+    sel, polys = form = config.arg.residue_polys()
     step = 1 if forward else -1
     a, n = config.initial, config.start_index
     limit = n + config.budget
@@ -315,7 +316,7 @@ def run(config: RunConfig, *, memo: dict | None = None) -> Trace:
         if signed and a == 0:
             break
         if not a:
-            n, a, stop = _step_until_event(config, trace, n, a, limit)
+            n, a, stop = _step_until_event(config, trace, n, form)
             if stop:
                 break
             continue
@@ -367,14 +368,14 @@ def run(config: RunConfig, *, memo: dict | None = None) -> Trace:
     return trace
 
 
-def _step_until_event(config, trace, n, a, limit):
-    """One naive step from a = 0 (run calls it there alone, below limit), the
-    one state the event finder does not serve: a(n + 1) = gcd(0, g(n + 1))
-    = |g(n + 1)| in every mode.  Returns (n, a, stop); stop says every
-    requested zero has been found.  perfbench/tracer.py wraps it by this
-    name and reads n from its arguments, hence the unused a and limit."""
+def _step_until_event(config, trace, n, form):
+    """One naive step from a = 0 (run calls it there alone, below its limit),
+    the one state the event finder does not serve: a(n + 1) = gcd(0, g(n + 1))
+    = |g(n + 1)| in every mode, g read off the run's form.  Returns (n, a,
+    stop); stop says every requested zero has been found.  perfbench/tracer.py
+    wraps it by this name and reads n as its third argument."""
     n += 1
-    a = abs(eval_form(config.arg.residue_polys(), n))
+    a = abs(eval_form(form, n))
     if config.mode == FORWARD_ADD:
         if a != 1:
             trace.forward_steps.append((n, a))
@@ -397,12 +398,11 @@ def first_zeros(runs, start_index: int = 1) -> list:
     so it reaches 0 within initial + 1 steps; one that does not raises
     EngineInvariantError.
 
-    Consecutive runs whose spec is the same object share one memo of their
-    descents (see run).  It starts empty whenever the spec object changes, so
-    specs that are equal but distinct objects do not share it.  A run whose
-    spec object is neither of its neighbours' goes to the lane path instead
-    (see the module docstring), if its form has an int period and its class
-    values fit int64."""
+    A stretch of consecutive runs whose specs are equal shares one memo of
+    their descents (see run), which starts empty whenever the spec changes.
+    A run whose spec equals neither of its neighbours' goes to the lane path
+    instead (see the module docstring), if its form has an int period and its
+    class values fit int64."""
     out = []
     _lane_zeros(_lane_runs(runs, start_index, out), start_index, out)
     return out
@@ -411,12 +411,12 @@ def first_zeros(runs, start_index: int = 1) -> list:
 def _lane_runs(runs, start_index: int, out: list):
     """Yield (position in out, spec, initial, form) for each run that goes to
     the lane path, holding its place in out with None; append every other
-    run's zero to out, by the memo path, as the runs are consumed."""
-    # keyed by id: a stretch's spec is alive while the next run's key is
-    # taken, so neighbouring stretches never share an id
-    for _, stretch in groupby(runs, key=lambda r: id(r[0])):
+    run's zero to out, by the memo path, as the runs are consumed.  Runs are
+    grouped into stretches of consecutive equal specs: a stretch of one run
+    is a lane candidate, a longer one shares one memo."""
+    for spec, stretch in groupby(runs, key=itemgetter(0)):
         head = list(islice(stretch, 2))
-        spec, initial = head[0]
+        _, initial = head[0]
         beta, polys = form = spec.residue_polys()
         x_max = abs(start_index) + 1 + initial  # bounds |x| over the descent
         if len(head) == 1 and initial and isinstance(beta, int) and _fits_int64(polys, x_max):
@@ -424,7 +424,7 @@ def _lane_runs(runs, start_index: int, out: list):
             yield len(out) - 1, spec, initial, form
         else:
             memo = {}
-            out += (_first_zero(s, k, start_index, memo) for s, k in chain(head, stretch))
+            out += (_first_zero(spec, k, start_index, memo) for _, k in chain(head, stretch))
 
 
 def _first_zero(spec, initial: int, start_index: int, memo: dict | None) -> int:
@@ -562,7 +562,7 @@ class ForwardRecords:
     shevelev_flags: list  # n with a(n) = 2n + 1
 
 
-def forward_record_indices(config: RunConfig, budget: int | None = None) -> ForwardRecords:
+def forward_record_indices(config: RunConfig) -> ForwardRecords:
     """Strict maxima of the forward difference sequence, plus the indices
     where a(n) = 2n+2 or a(n) = 2n+1 (the states from which the next
     difference is a prime for these families).
@@ -573,7 +573,7 @@ def forward_record_indices(config: RunConfig, budget: int | None = None) -> Forw
     difference so far was positive."""
     if config.mode != FORWARD_ADD:
         raise ValueError("forward_record_indices requires forward mode")
-    trace = run(config if budget is None else replace(config, budget=budget))
+    trace = run(config)
     records, row_flags, shev_flags = [], [], []
     best, n, a = 0, config.start_index, config.initial
     for event, d in trace.forward_steps + [(trace.final_index + 1, None)]:

@@ -196,16 +196,16 @@ def table(family: str, rows: int | None = None, policy=primality.DEFAULT_POLICY,
 # Goldbach decompositions
 
 
+_GOLDBACH = {"product": GoldbachProduct, "alternating": GoldbachAlt}
+
+
 def goldbach_g(N: int, variant: str = "alternating", policy=primality.DEFAULT_POLICY):
     """First zero g_N of the Goldbach recursion and its decomposition claim."""
     if N < 2:
         raise ValueError("N must be >= 2")
-    if variant == "product":
-        spec = GoldbachProduct(N=N)
-    elif variant == "alternating":
-        spec = GoldbachAlt(N=N)
-    else:
+    if variant not in _GOLDBACH:
         raise ValueError(f"unknown goldbach variant {variant!r}")
+    spec = _GOLDBACH[variant](N=N)
     (g,) = engine.first_zeros([(spec, N - 2)])
     claims = spec.claim_values(g)
     return g, claims, primality.all_prime(claims, policy)
@@ -288,12 +288,14 @@ def conj8_property_check(N: int, variant: str = "prime", policy=primality.DEFAUL
     twin variant (recursion over n+(-1)^n from N-2): properties 3..6.
     Properties outside their validity range are skipped.
     """
+    if variant not in _C8_SPECS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if N < 4:
+        return []
+    (f,) = engine.first_zeros([(_C8_SPECS[variant], N - 2)])
     out = []
     d = lambda x: primality.delta(x, policy)
     if variant == "prime":
-        if N < 4:
-            return out
-        (f,) = engine.first_zeros([(ShiftedIndex(), N - 2)])
         out.append(("3", d(f) == 1))
         out.append(("4", (f == N - 1) == (d(N - 1) == 1)))
         out.append(("5", (f == N - 2) == (N - 2 > 2 and d(N - 2) == 1)))
@@ -305,19 +307,14 @@ def conj8_property_check(N: int, variant: str = "prime", policy=primality.DEFAUL
             (f == N - 6) == (d(N - 6) == 1 and (N - 6) % 30 == 1)
         )
         out.append(("7", hold7))
-    elif variant == "twin":
-        if N < 4:
-            return out
-        (h,) = engine.first_zeros([(AlternatingLinear(), N - 2)])
-        if N >= 99:
-            out.append(("3", d(h) == 1 and d(h + 2) == 1))
-        out.append(("4", (h == N - 1) == (d(N - 1) == 1 and d(N + 1) == 1)))
-        if N >= 13:
-            out.append(("5", (h == N - 2) == (d(N) == 1 and d(N - 2) == 1)))
-        if N >= 14:
-            out.append(("6", (h == N - 3) == (d(N - 3) == 1 and d(N - 1) == 1)))
     else:
-        raise ValueError(f"unknown variant {variant!r}")
+        if N >= 99:
+            out.append(("3", d(f) == 1 and d(f + 2) == 1))
+        out.append(("4", (f == N - 1) == (d(N - 1) == 1 and d(N + 1) == 1)))
+        if N >= 13:
+            out.append(("5", (f == N - 2) == (d(N) == 1 and d(N - 2) == 1)))
+        if N >= 14:
+            out.append(("6", (f == N - 3) == (d(N - 3) == 1 and d(N - 1) == 1)))
     return out
 
 
@@ -337,7 +334,7 @@ def _prefix_means(hits):
 
 def upsilon_twin(n_hi: int, workers: int = 1, policy=primality.DEFAULT_POLICY):
     """Prefix means of the twin-pair indicator for 2n^2 +/- 1 runs from a(0)=k."""
-    spec = AlternatingQuad()  # one object, so the runs share one memo
+    spec = AlternatingQuad()  # one object, pickled once per pool job
     runs = [(spec, k) for k in range(1, n_hi + 1)]
     return _prefix_means(_claims_hold_map(runs, workers, policy, start_index=0))
 

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import engine
+from . import engine, primality
 from .generators import AffineMinus, PowerMinus
 
 
@@ -123,19 +123,12 @@ def second_record_candidate_for(m: int, alpha) -> int:
     return second_record_candidate(m, alpha, engine.run(cfg))
 
 
-def estimate_L_alpha(
-    alpha,
-    samples,
-    policy=None,
-) -> Fraction:
+def estimate_L_alpha(alpha, samples, policy=primality.DEFAULT_POLICY) -> Fraction:
     """Fraction of sampled m whose alpha-window second-record candidate is
     (probably) prime."""
-    from . import primality
-
     samples = list(samples)
     if not samples:
         raise ValueError("estimate_L_alpha needs at least one sample")
-    policy = policy or primality.DEFAULT_POLICY
     hits = sum(
         primality.delta(second_record_candidate_for(m, alpha), policy) for m in samples
     )

@@ -241,11 +241,15 @@ def test_cli_runs_without_sympy(capsys):
         "scan triplet --n-hi 300",
         "goldbach 1000",
         "goldbach 1000 --variant product",
+        "table c8 --variant twin",
+        "stats gaps --n-hi 300",
+        "stats upsilon-twin --n-hi 300",
     ],
 )
 def test_scalar_commands_run_without_numpy(capsys, argv):
     # numpy is for array work only: the lane path, prime_flags and Legendre;
-    # goldbach's one lane run takes the scalar path
+    # goldbach's one lane run takes the scalar path, and a stretch of equal
+    # specs the memo path
     code, expected = run_cli(capsys, *argv.split())
     assert code == 0
     proc = _cli_without("numpy", argv.split())

@@ -165,6 +165,15 @@ def test_a_requested_zero_reached_by_the_step_from_zero():
     assert_backward_matches_naive(1, spec, 10, engine.ABS_BACKWARD, 1, 2, lambda n: n - 3)
 
 
+def test_steps_from_zero_read_the_form_of_the_run(monkeypatch):
+    # the run derives g's form once; its naive steps from a = 0 evaluate it
+    calls, derive = [], AffineMinus.residue_polys
+    monkeypatch.setattr(AffineMinus, "residue_polys", lambda self: calls.append(self) or derive(self))
+    zs, *_ = naive_backward(1, lambda n: n - 1, 10**6, want=12)
+    assert engine.zeros(RunConfig(initial=1, arg=AffineMinus(m=1)), 12) == zs
+    assert len(calls) == 1
+
+
 def test_first_zero_guard():
     # descent loses at least 1 per step, so the zero arrives within initial + 1 steps
     spec = AlternatingLinear()
@@ -181,10 +190,12 @@ def test_first_zero_budget_covers_every_start(start):
     spec, initial = AffineMinus(m=1), 5
     expected = naive_first_zero(spec, initial, start)
     assert plain_first_zero(spec, initial, start) == expected
-    # one run, two runs sharing a spec object (memo) and two distinct ones (lanes)
+    # one run, two runs of one spec (memo) and two of different specs (lanes)
     assert engine.first_zeros([(spec, initial)], start) == [expected]
     assert engine.first_zeros([(spec, initial)] * 2, start) == [expected] * 2
-    assert engine.first_zeros([(copy(spec), initial) for _ in range(2)], start) == [expected] * 2
+    other = AffineMinus(m=2)
+    both = [expected, naive_first_zero(other, initial, start)]
+    assert engine.first_zeros([(spec, initial), (other, initial)], start) == both
 
 
 def naive_first_zero(spec, initial, start):
@@ -208,10 +219,11 @@ CLAIM_SPECS = [s for s in ALL_SPECS if _has_claim(s)]
 GOLDBACH_SPECS = st.builds(GoldbachProduct, N=st.integers(2, 3000)) | st.builds(
     GoldbachAlt, N=st.integers(2, 3000), flip=st.booleans()
 )
+SPECS = st.sampled_from(CLAIM_SPECS) | GOLDBACH_SPECS
 
 
 @given(
-    spec=st.sampled_from(CLAIM_SPECS) | GOLDBACH_SPECS,
+    spec=SPECS,
     initials=st.lists(st.integers(0, 3000), min_size=1, max_size=4),
     start=st.sampled_from((0, 1)),
 )
@@ -226,15 +238,15 @@ cached_naive_first_zero = cache(naive_first_zero)
 
 @given(
     data=st.data(),
-    first=st.sampled_from(CLAIM_SPECS) | GOLDBACH_SPECS,
+    first=SPECS,
     runs=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 400)), min_size=20, max_size=200),
     start=st.sampled_from((0, 1)),
 )
 @settings(max_examples=100, deadline=None)
 def test_first_zeros_memo_equals_naive_on_long_alternating_runs(data, first, runs, start):
-    # the second spec is an equal but distinct object or another family;
-    # runs switch between the two, so each switch starts a new memo
-    second = data.draw(st.just(copy(first)) | st.sampled_from(CLAIM_SPECS) | GOLDBACH_SPECS)
+    # the second spec is another family's or another N's; runs switch
+    # between the two, so each switch starts a new memo
+    second = data.draw(SPECS.filter(lambda spec: spec != first))
     specs = (first, second)
     pairs = [(specs[k], initial) for k, initial in runs]
     expected = [cached_naive_first_zero(spec, initial, start) for spec, initial in pairs]
@@ -266,10 +278,44 @@ _MEMO_CASES = {
 
 @pytest.mark.parametrize("name", _MEMO_CASES)
 def test_first_zeros_memo_equals_plain_runs(name):
-    # one spec object shared by the runs, where the callers share one
+    # one spec for all the runs, or one per N, as the callers build them
     spec, initial, lo, start = _MEMO_CASES[name]
     runs = [(spec(N) if callable(spec) else spec, initial(N)) for N in range(lo, 3001)]
     assert engine.first_zeros(runs, start) == [plain_first_zero(s, k, start) for s, k in runs]
+
+
+def test_equal_specs_share_one_memo(monkeypatch):
+    # equal specs are one g: a copy per run shares the memo that one object
+    # would, instead of sending each run to a lane of its own
+    spec = PeriodicAffine(m=1, offsets=(2, 6, 0))
+    runs = [(copy(spec), N - 6) for N in range(8, 400)]
+    expected = [plain_first_zero(spec, k, 1) for _, k in runs]
+    memos, first_zero = [], engine._first_zero
+
+    def spy(spec, initial, start_index, memo):
+        memos.append(memo)
+        return first_zero(spec, initial, start_index, memo)
+
+    monkeypatch.setattr(engine, "_first_zero", spy)
+    assert engine.first_zeros(runs) == expected
+    assert len(memos) == len(runs) and memos[0] is not None
+    assert all(memo is memos[0] for memo in memos)
+
+
+def test_equal_specs_apart_take_lanes(monkeypatch):
+    # [A, B, A]: the two runs of A are not consecutive, so each run is a
+    # stretch of its own and takes a lane
+    a, b = AffineMinus(m=1), AffineMinus(m=2)
+    runs = [(a, 40), (b, 40), (a, 50)]
+    lane_runs, lane_zeros = [], engine._lane_zeros
+
+    def spy(yielded, start_index, out):
+        lane_runs.extend(yielded)
+        lane_zeros(iter(lane_runs), start_index, out)
+
+    monkeypatch.setattr(engine, "_lane_zeros", spy)
+    assert engine.first_zeros(runs) == [naive_first_zero(s, k, 1) for s, k in runs]
+    assert [(at, k) for at, _, k, _ in lane_runs] == [(0, 40), (1, 40), (2, 50)]
 
 
 def test_first_zeros_defaults_and_empty():
@@ -287,7 +333,8 @@ def test_first_zeros_without_a_zero_is_an_invariant_error(monkeypatch):
     lanes=st.sampled_from((2, 3, 4, 5, engine._LANES)),
     stretches=st.lists(
         st.tuples(
-            st.sampled_from(CLAIM_SPECS) | GOLDBACH_SPECS,
+            SPECS,
+            SPECS,
             st.lists(st.just(0) | st.integers(1, 3000), min_size=1, max_size=4),
             st.booleans(),
         ),
@@ -298,14 +345,14 @@ def test_first_zeros_without_a_zero_is_an_invariant_error(monkeypatch):
 )
 @settings(max_examples=150, deadline=None)
 def test_lane_path_equals_naive_signed_descent(lanes, stretches, start):
-    # a stretch either shares one spec object (the memo path) or takes a
-    # fresh copy per run (the lane path, for an int period); with a few
+    # a stretch either holds one spec (the memo path) or alternates two
+    # (the lane path, for an int period, where the two differ); with a few
     # lanes, lanes leave and are refilled many times, by runs of other
     # periods (1-3) and degrees (1-4), between memo stretches
     runs = [
-        (spec if shared else copy(spec), initial)
-        for spec, initials, shared in stretches
-        for initial in initials
+        (spec if shared or j % 2 == 0 else other, initial)
+        for spec, other, initials, shared in stretches
+        for j, initial in enumerate(initials)
     ]
     expected = [cached_naive_first_zero(spec, initial, start) for spec, initial in runs]
     with pytest.MonkeyPatch.context() as patch:
@@ -336,8 +383,9 @@ def hand_offs(monkeypatch):
 def test_lanes_crossing_the_spf_limit_finish_on_run(hand_offs, monkeypatch):
     # (x - 1)(2N + 1 - x) grows as the descent lowers x from near 2N + 1:
     # these lanes start below 2^20 and cross it mid-descent; with 3 lanes
-    # they do so between refills
-    runs = [(GoldbachProduct(N=N), 2 * N - 2 - d) for N in range(2990, 3010) for d in (5, 40, 120)]
+    # they do so between refills.  Neighbouring runs differ in N, so each
+    # takes a lane.
+    runs = [(GoldbachProduct(N=N), 2 * N - 2 - d) for d in (5, 40, 120) for N in range(2990, 3010)]
     expected = [naive_first_zero(spec, k, 1) for spec, k in runs]
     for lanes in (engine._LANES, 3):
         monkeypatch.setattr(engine, "_LANES", lanes)
@@ -348,8 +396,8 @@ def test_lanes_crossing_the_spf_limit_finish_on_run(hand_offs, monkeypatch):
 
 def test_lanes_whose_horner_values_could_leave_int64_run_scalar(hand_offs):
     # 2^40 x^2 = 2^64 at x = 2^12, which int64 Horner would wrap to the
-    # constant term alone
-    runs = [(Polynomial(coeffs=(c, 0, 1 << 40)), 4094 + d) for c in (15, 21, 105, 1155) for d in (-1, 0, 1)]
+    # constant term alone; neighbouring runs differ in c, so none shares a memo
+    runs = [(Polynomial(coeffs=(c, 0, 1 << 40)), 4094 + d) for d in (-1, 0, 1) for c in (15, 21, 105, 1155)]
     assert engine.first_zeros(runs) == [naive_first_zero(spec, k, 1) for spec, k in runs]
     assert len(hand_offs) == len(runs)
 
@@ -358,23 +406,24 @@ def test_lane_event_invariant_raises(monkeypatch):
     # an event whose class value 1 has no prime in common with a(i - 1)
     monkeypatch.setattr(engine, "_next_events", lambda n, x, q, beta: (n + 1, np.ones_like(n)))
     with pytest.raises(engine.EngineInvariantError, match="unit step"):
-        engine.first_zeros([(AffineMinus(m=1), 10), (AffineMinus(m=1), 12)])
+        engine.first_zeros([(AffineMinus(m=1), 10), (AffineMinus(m=2), 12)])
 
 
 def test_refills_widen_the_lanes(monkeypatch):
     # wider periods (1, then 3) and higher degrees (1, 2, then 3) arrive
-    # while lanes of the narrower forms are still descending
+    # while lanes of the narrower forms are still descending; neighbouring
+    # runs are of different families, so each takes a lane
     monkeypatch.setattr(engine, "_LANES", 2)
     specs = [AffineMinus(m=5), QuadShift(m=2), PeriodicAffine(m=3, offsets=(-1, 4, 0)), AlternatingQuad()]
     specs += [parse_spec("triplet"), parse_spec("periodic-factored:q=x^2+1|x^2+3|x+1,schedule=2;3;1")]
-    runs = [(copy(spec), initial) for spec in specs for initial in (900, 40, 2500)]
+    runs = [(spec, initial) for initial in (900, 40, 2500) for spec in specs]
     assert engine.first_zeros(runs) == [naive_first_zero(spec, k, 1) for spec, k in runs]
 
 
 def test_the_last_lane_finishes_on_run(hand_offs):
     # the short descent ends first; the long one, alone once the runs are
     # all taken, finishes on run from the state it reached
-    runs = [(AffineMinus(m=1), 3), (AffineMinus(m=1), 2000)]
+    runs = [(AffineMinus(m=1), 3), (AffineMinus(m=3), 2000)]
     assert engine.first_zeros(runs) == [naive_first_zero(spec, k, 1) for spec, k in runs]
     ((n, a),) = hand_offs
     assert 1 < n and 0 < a < 2000
