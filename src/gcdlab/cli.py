@@ -10,7 +10,8 @@ _write, the one place that reads --format and --out.
 The Beatty digit is exact for indices |n| < 10^25, far beyond any budget.
 
 Exit codes: 0 success, 2 argument error, 3 budget exhausted (partial output
-is still emitted, flagged in the metadata).
+is still emitted, flagged in the metadata).  A reader that closes stdout
+early ends the output quietly, with exit 0.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import chain, islice
 
 from . import engine, experiments, generators, primality, records
 from .engine import RunConfig
@@ -27,6 +29,11 @@ from .generators import SpecParseError, parse_spec
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+# CSV lines per write: with an unbuffered stdout (PYTHONUNBUFFERED=1) each
+# write is a syscall; into a pipe on a 2-core host, 20,000 one-line writes
+# took 20-35 ms, and the same lines in blocks of 1024 under 2.5 ms
+_BLOCK = 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -162,22 +169,32 @@ def _write(args, rows, lines, exhausted: bool = False, **meta) -> int:
 
     rows() gives the JSON rows and lines() the CSV lines; only the form that
     is written is built.  JSON wraps the rows with a metadata object: the
-    argv, the --budget and --seed of a command that has them, then `meta`.
+    argv, the --budget and --seed of a command that has them, then `meta`;
+    the document is built whole.  CSV is written as lines() yields it,
+    _BLOCK lines to a write.
     """
     if args.format == "json":
         flags = {key: getattr(args, key) for key in ("budget", "seed") if hasattr(args, key)}
-        text = json.dumps({"metadata": {"argv": args.argv, **flags, **meta}, "rows": rows()}, default=str) + "\n"
+        blocks = [json.dumps({"metadata": {"argv": args.argv, **flags, **meta}, "rows": rows()}, default=str) + "\n"]
     else:
-        text = "\n".join(lines()) + "\n"
+        blocks = _blocks(lines())
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+                fh.writelines(blocks)
         except OSError as exc:
             raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     return EXIT_BUDGET if exhausted else EXIT_OK
+
+
+def _blocks(lines):
+    """The text of lines, each ended by a newline, _BLOCK lines to a string."""
+    lines = iter(lines)
+    while block := list(islice(lines, _BLOCK)):
+        block.append("")  # so that the join ends the last line too
+        yield "\n".join(block)
 
 
 def _run_config(args, **extra) -> RunConfig:
@@ -196,12 +213,12 @@ def _cmd_run(args) -> int:
         "iterations_used": trace.iterations_used,
         "budget_exhausted": trace.budget_exhausted,
     }
-    lines = lambda: [
-        "event,index,value",
-        *(f"zero,{n},0" for n in trace.zero_indices),
-        *(f"step,{n},{d}" for n, d in trace.large_steps),
-        f"final,{trace.final_index},{trace.final_value}",
-    ]
+    lines = lambda: chain(
+        ["event,index,value"],
+        (f"zero,{n},0" for n in trace.zero_indices),
+        (f"step,{n},{d}" for n, d in trace.large_steps),
+        [f"final,{trace.final_index},{trace.final_value}"],
+    )
     return _write(args, rows, lines, exhausted=trace.budget_exhausted, spec=args.spec)
 
 
@@ -239,7 +256,8 @@ def _cmd_scan(args) -> int:
         args.family, args.n_hi, workers=args.workers, policy=_policy(args)
     )
     failing = set(report.failing_N)
-    lines = lambda: ["N,failed", *(f"{n},{1 if n in failing else 0}" for n in range(report.n_lo, report.n_hi + 1))]
+    ns = range(report.n_lo, report.n_hi + 1)
+    lines = lambda: chain(["N,failed"], (f"{n},{1 if n in failing else 0}" for n in ns))
     return _write(args, lambda: report.failing_N, lines, family=report.family, largest_failure=report.largest_failure)
 
 
@@ -266,8 +284,8 @@ def _series(series_of):
     """The stats command that writes the (x, y) pairs series_of(args)."""
 
     def command(args) -> int:
-        series = series_of(args)
-        lines = lambda: ["x,y", *(f"{x},{y}" for x, y in series)]
+        series = series_of(args)  # an iterator, read once by the form written
+        lines = lambda: chain(["x,y"], (f"{x},{y}" for x, y in series))
         return _write(args, lambda: [[x, y] for x, y in series], lines, kind=args.kind)
 
     return command
@@ -288,7 +306,7 @@ _STATS = {
     "goldbach-constant": (("n-hi",), _series(lambda a: experiments.goldbach_constant_series(a.n_hi))),
     "gaps": (
         ("n-hi", "seed", "mr-rounds"),
-        _series(lambda a: [(n, x) for n, x, _ in experiments.gap_diagnostics(a.n_hi, policy=_policy(a))]),
+        _series(lambda a: ((n, x) for n, x, _ in experiments.gap_diagnostics(a.n_hi, policy=_policy(a)))),
     ),
     "legendre": (("n-hi", "workers"), _series(lambda a: experiments.legendre_series(a.n_hi, workers=a.workers))),
 }
@@ -321,7 +339,14 @@ def dispatch(argv=None) -> int:
 
 def main() -> None:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # no BLAS call, but numpy's import starts its threads
-    sys.exit(dispatch())
+    try:
+        code = dispatch()
+    except BrokenPipeError:
+        # the reader of the CSV stream left early, as `| head` does: stop
+        # without a traceback, here or when stdout is flushed at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    sys.exit(code)
 
 
 if __name__ == "__main__":

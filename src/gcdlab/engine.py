@@ -42,7 +42,9 @@ beta, coefficients), one pass moving each by one event.  A pass takes the
 class values by Horner in int64, their distinct primes from the SPF table
 and each prime's candidate index by _next_event's rules.  After each pass
 the lanes that left are refilled with the next runs, so the passes stay
-full until the runs run out.  A lane whose class values reach 2^20 finishes
+full until the runs run out; the runs are taken _CHUNK at a time, and each
+zero is written out as its lane leaves, so the lane path's memory does not
+grow with the number of runs.  A lane whose class values reach 2^20 finishes
 on the scalar path from its current state, and so does the last lane once
 no run is left; runs whose values could leave int64, and a call's lone lane
 run, take the scalar path throughout, the latter without importing numpy.
@@ -86,12 +88,14 @@ _TRIAL_LIMIT = 1 << 12
 # Brent rho: steps whose x - y are multiplied together before one gcd.
 _RHO_BATCH = 128
 # first_zeros: the most runs descending at once on the lane path, whose
-# lanes are refilled after every pass.  Timed on `stats goldbach-constant
-# --n-hi 20000` through the CLI at 2048, 4096 and 8192 (2 shared cores, 8
-# alternated runs each): median wall 0.55, 0.58 and 0.59 s, within the
-# host's noise, and peak RSS 41.0, 41.2 and 44.5 MB.  4096 takes 215 numpy
-# passes against 272 at 2048, without the memory of 8192.
+# lanes are refilled after every pass, _CHUNK runs at a time.  Peak RSS of
+# `stats goldbach-constant --n-hi 20000` through the CLI (2 shared cores, 3
+# runs each) at 2048, 4096 and 8192 lanes: 34.3, 35.3 and 37.5 MB with
+# chunks of 256 (chunks of 128 and 512 within 0.5 MB of it), against 35.3,
+# 37.7 and 41.8 MB for a fill in one batch.  4096 takes 215 numpy passes
+# against 272 at 2048; wall time stayed within the host's noise.
 _LANES = 4096
+_CHUNK = 256
 
 
 class NonterminatingZeroRequest(ValueError):
@@ -448,12 +452,13 @@ def _fits_int64(polys, x_max: int) -> bool:
 
 def _lane_zeros(lane_runs, start_index: int, out: list) -> None:
     """Write the first zero of each (position, spec, initial, form) that
-    lane_runs yields to out[position].  Up to _LANES lanes descend at a time,
-    one numpy pass moving each by one event as run steps; after each pass
-    the lanes that left are refilled from lane_runs.  A lane whose class
-    values reach _SPF_LIMIT finishes on run, and so does the last lane once
-    lane_runs is empty.  Fewer than two lane runs in all finish on run
-    before numpy is imported."""
+    lane_runs yields to out[position], as its lane leaves.  Up to _LANES
+    lanes descend at a time, one numpy pass moving each by one event as run
+    steps; after each pass the lanes that left are refilled from lane_runs,
+    _CHUNK runs at a time, each chunk turned into the lanes' int64 arrays
+    before the next is taken.  A lane whose class values reach _SPF_LIMIT
+    finishes on run, and so does the last lane once lane_runs is empty.
+    Fewer than two lane runs in all finish on run before numpy is imported."""
     head = list(islice(lane_runs, 2))
     if len(head) < 2:
         for at, spec, initial, _ in head:
@@ -465,16 +470,16 @@ def _lane_zeros(lane_runs, start_index: int, out: list) -> None:
     position = n = a = beta = np.zeros(0, dtype=np.int64)
     spec = np.zeros(0, dtype=object)
     coeffs = np.zeros((0, 1, 1), dtype=np.int64)
-    # (positions, zeros) of the lanes that reached 0, from empty arrays on;
-    # written to out at the end, which keeps the peak RSS of `stats
-    # goldbach-constant --n-hi 20000` about 0.1 MB lower than writing each
-    # zero as its lane leaves
-    finished = [(position, n)]
+    empty = False  # lane_runs has no run left
     while True:
-        wanted = _LANES - len(n)
-        new = list(islice(lane_runs, wanted))
-        empty = len(new) < wanted  # lane_runs has no run left
-        if new:
+        # fill the lanes that left, _CHUNK runs at a time, so the run tuples
+        # and padded coefficient lists alive are a chunk's, not a whole fill's
+        while len(n) < _LANES and not empty:
+            wanted = min(_CHUNK, _LANES - len(n))
+            new = list(islice(lane_runs, wanted))
+            empty = len(new) < wanted
+            if not new:
+                break
             forms = [form for *_, form in new]
             width = max(coeffs.shape[1], *(b for b, _ in forms))
             length = max(coeffs.shape[2], *(len(p) for _, polys in forms for p in polys))
@@ -509,11 +514,10 @@ def _lane_zeros(lane_runs, start_index: int, out: list) -> None:
             raise EngineInvariantError(f"event detection found a unit step at n={i[unit][0]}")
         n, a = i, prev - g
         done = a == 0
-        finished.append((position[done], n[done]))
+        for at, z in zip(position[done].tolist(), n[done].tolist()):
+            out[at] = z
         keep = ~done
         position, spec, n, a, coeffs, beta = (v[keep] for v in (position, spec, n, a, coeffs, beta))
-    for at, z in zip(*(np.concatenate(v).tolist() for v in zip(*finished))):
-        out[at] = z
 
 
 def _next_events(n, x, q, beta):

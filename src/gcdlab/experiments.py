@@ -329,7 +329,9 @@ def upsilon(n_hi: int, b: int = 2, c: int = 2, workers: int = 1, policy=primalit
 
 
 def _prefix_means(hits):
-    return [(k, total / k) for k, total in enumerate(accumulate(hits), start=1)]
+    """An iterator of (k, mean of the first k hits).  The upsilon estimators
+    pass a list, so every claim is checked before the first row."""
+    return ((k, total / k) for k, total in enumerate(accumulate(hits), start=1))
 
 
 def upsilon_twin(n_hi: int, workers: int = 1, policy=primality.DEFAULT_POLICY):
@@ -363,11 +365,12 @@ def upsilon_v(count: int, policy=primality.DEFAULT_POLICY):
 
 
 def goldbach_constant_series(n_hi: int):
-    """Partial sums n^(-1/2) * sum_{k=3..n} (1 - g_k/(k-1)) for the
-    alternating Goldbach recursion in its nominal orientation."""
+    """An iterator of (n, n^(-1/2) * sum_{k=3..n} (1 - g_k/(k-1))) for the
+    alternating Goldbach recursion in its nominal orientation; the first
+    zeros g_k are found before it is returned."""
     gs = engine.first_zeros((GoldbachAlt(N=k), k - 2) for k in range(3, n_hi + 1))
     terms = accumulate(1.0 - g / (k - 1) for k, g in enumerate(gs, start=3))
-    return [(k, total / math.sqrt(k)) for k, total in enumerate(terms, start=3)]
+    return ((k, total / math.sqrt(k)) for k, total in enumerate(terms, start=3))
 
 
 # ---------------------------------------------------------------------------
@@ -412,15 +415,17 @@ def legendre_series(n_hi: int, n_lo: int = 2, workers: int = 1):
 
 
 def gap_diagnostics(n_hi: int, policy=primality.DEFAULT_POLICY):
-    """(N, (N - f(N))/sqrt(N), (N - prev_prime(N))/sqrt(N)) for N = 3..n_hi."""
-    out = []
+    """An iterator of (N, (N - f(N))/sqrt(N), (N - prev_prime(N))/sqrt(N))
+    for N = 3..n_hi; the first zeros f are found before it is returned."""
     spec = ShiftedIndex()
     fs = engine.first_zeros((spec, N - 2) for N in range(3, n_hi + 1))
-    for N, f in enumerate(fs, start=3):
-        pp = primality.prev_prime(N, policy)
-        rt = math.sqrt(N)
-        out.append((N, (N - f) / rt, (N - pp) / rt))
-    return out
+
+    def rows():
+        for N, f in enumerate(fs, start=3):
+            rt = math.sqrt(N)
+            yield N, (N - f) / rt, (N - primality.prev_prime(N, policy)) / rt
+
+    return rows()
 
 
 def conj7_f_and_L(spec, n_hi: int, policy=primality.DEFAULT_POLICY):
@@ -429,6 +434,5 @@ def conj7_f_and_L(spec, n_hi: int, policy=primality.DEFAULT_POLICY):
     if isinstance(spec, str):
         spec = parse_spec(spec)
     fs = engine.first_zeros((spec, k) for k in range(1, n_hi + 1))
-    f_series = list(enumerate(fs, start=1))
-    l_series = _prefix_means(primality.all_prime(spec.claim_values(f), policy) for f in fs)
-    return f_series, l_series[-1][1] if l_series else 0.0
+    hits = sum(primality.all_prime(spec.claim_values(f), policy) for f in fs)
+    return list(enumerate(fs, start=1)), hits / len(fs) if fs else 0.0

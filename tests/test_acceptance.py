@@ -166,9 +166,9 @@ def test_criterion_3_record_jumps(say):
 
 def test_criterion_4_statistics(say):
     ok = True
-    ok &= 0.72 <= experiments.upsilon(5000, 2, 2, workers=4)[-1][1] <= 0.88
-    ok &= 0.40 <= experiments.upsilon_twin(5000, workers=4)[-1][1] <= 0.60
-    ok &= 0.55 <= experiments.upsilon_v(140)[-1][1] <= 0.85
+    ok &= 0.72 <= list(experiments.upsilon(5000, 2, 2, workers=4))[-1][1] <= 0.88
+    ok &= 0.40 <= list(experiments.upsilon_twin(5000, workers=4))[-1][1] <= 0.60
+    ok &= 0.55 <= list(experiments.upsilon_v(140))[-1][1] <= 0.85
     est = records.estimate_L_alpha(
         Fraction(1, 2), records.sample_ms(1000, 10**6, 10**7, seed=0)
     )
@@ -183,7 +183,7 @@ def test_criterion_4_statistics(say):
 
 
 def test_criterion_5_goldbach_constant(say):
-    series = experiments.goldbach_constant_series(20000)
+    series = list(experiments.goldbach_constant_series(20000))
     final = series[-1][1]
     window = [y for x, y in series if 10000 <= x <= 20000]
     ok = 0 < final <= 4 and (max(window) - min(window)) / min(window) < 0.20

@@ -140,6 +140,11 @@ def test_out_file(tmp_path, capsys):
         "stats gaps --n-hi 50",
         "table c3ter",
         "goldbach 100",
+        # CSV of more than one block of cli._BLOCK lines
+        "stats goldbach-constant --n-hi 3000",
+        "stats gaps --n-hi 1500",
+        "stats upsilon-twin --n-hi 300",
+        "scan goldbach --n-hi 2500",
     ],
 )
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -150,6 +155,36 @@ def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, argv, fmt):
     # the metadata records the argv, so --out goes on the end of both runs
     assert run_cli(capsys, *argv, "--out", str(path)) == (code, "")
     assert path.read_bytes().replace(f', "--out", "{path}"'.encode(), b"") == out.encode()
+
+
+def test_csv_is_written_in_blocks(monkeypatch):
+    # each write of an unbuffered stdout is a syscall: the rows go out
+    # cli._BLOCK lines at a time, as the series yields them
+    writes = []
+
+    class Spy(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    monkeypatch.setattr(sys, "stdout", Spy())
+    assert cli.dispatch(["stats", "goldbach-constant", "--n-hi", "5000"]) == 0
+    text = "".join(writes)
+    lines = text.splitlines()
+    assert lines[0] == "x,y" and lines[-1].startswith("5000,") and len(lines) == 4999
+    blocks = -(-len(lines) // 1024)
+    assert blocks <= len(writes) <= blocks + 1
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+def test_series_argument_error_writes_nothing(tmp_path, capsys, out):
+    # the series checks its arguments before its first row is written
+    path = tmp_path / "upsilon.csv"
+    argv = ["stats", "upsilon", "--b", "0", "--n-hi", "3", *(["--out", str(path)] if out else [])]
+    code = cli.dispatch(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and "power needs b >= 1 and c >= 1" in captured.err
+    assert captured.out == "" and not path.exists()
 
 
 def test_unopenable_out_exits_2_naming_the_path(tmp_path, capsys):
@@ -209,6 +244,21 @@ def _fresh_python(script):
     paths = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+
+
+def test_a_reader_that_leaves_early_ends_the_csv_quietly():
+    # `gcdlab stats goldbach-constant --n-hi 20000 | head -n 1`: the writes
+    # after the reader has gone fail with EPIPE
+    argv = ["stats", "goldbach-constant", "--n-hi", "20000"]
+    script = f"import sys; from gcdlab import cli; sys.argv[1:] = {argv!r}; cli.main()"
+    paths = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"x,y\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def _cli_without(module, argv):

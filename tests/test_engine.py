@@ -1,5 +1,6 @@
 """Engine: backward descent (naive and jump-accelerated), forward addition."""
 import re
+import tracemalloc
 from copy import copy
 from functools import cache
 from math import gcd, prod
@@ -427,6 +428,44 @@ def test_the_last_lane_finishes_on_run(hand_offs):
     assert engine.first_zeros(runs) == [naive_first_zero(spec, k, 1) for spec, k in runs]
     ((n, a),) = hand_offs
     assert 1 < n and 0 < a < 2000
+
+
+def test_fills_of_several_chunks_widen_the_lanes(monkeypatch):
+    # 5 lanes filled 2 runs at a time: a fill spans three chunks, and a
+    # later chunk brings a wider period or a higher degree than the lanes
+    # that an earlier chunk of the same fill set up
+    monkeypatch.setattr(engine, "_LANES", 5)
+    monkeypatch.setattr(engine, "_CHUNK", 2)
+    specs = [AffineMinus(m=5), QuadShift(m=2), PeriodicAffine(m=3, offsets=(-1, 4, 0)), AlternatingQuad()]
+    specs += [parse_spec("triplet"), parse_spec("periodic-factored:q=x^2+1|x^2+3|x+1,schedule=2;3;1")]
+    runs = [(spec, initial) for initial in (900, 40, 2500, 7) for spec in specs]
+    assert engine.first_zeros(runs) == [naive_first_zero(spec, k, 1) for spec, k in runs]
+
+
+def lane_transient_bytes(count):
+    """tracemalloc's peak during first_zeros over the runs (GoldbachAlt(N=k),
+    k - 2) for k = 3..count + 2, less what is still allocated when it
+    returns (its zeros): the memory it held only while it ran."""
+    runs = ((GoldbachAlt(N=k), k - 2) for k in range(3, count + 3))
+    tracemalloc.start()
+    try:
+        zs = engine.first_zeros(runs)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(zs) == count
+    return peak - current
+
+
+def test_lane_memory_does_not_grow_with_the_runs(monkeypatch):
+    # the lane path holds its lanes and one chunk of runs, and writes each
+    # zero out as its lane leaves, so 6000 more runs must add nothing; zeros
+    # kept until the end would add 64 bytes a run (0.37 MB here).  512 lanes
+    # keep the lanes' own memory small beside that
+    monkeypatch.setattr(engine, "_LANES", 512)
+    engine.first_zeros([(GoldbachAlt(N=k), k - 2) for k in range(3, 40)])  # imports numpy, builds the SPF table
+    small, large = lane_transient_bytes(2000), lane_transient_bytes(8000)
+    assert large - small < 0.25 * 2**20, (small, large)
 
 
 def naive_forward(initial, g_of, budget, start=1):

@@ -150,8 +150,8 @@ WORKER_RUNS = {
         for family in ("twin", "triplet", "beatty", "goldbach")
     },
     "scan-empty": lambda w: scan_threshold("triplet", 5, workers=w),
-    "upsilon": lambda w: upsilon(300, 2, 3, workers=w),
-    "upsilon-twin": lambda w: upsilon_twin(300, workers=w),
+    "upsilon": lambda w: list(upsilon(300, 2, 3, workers=w)),
+    "upsilon-twin": lambda w: list(upsilon_twin(300, workers=w)),
 }
 
 
@@ -193,17 +193,17 @@ def test_conj8_twin_example_102():
 
 
 def test_upsilon_series():
-    series = upsilon(300, 2, 2)
+    series = list(upsilon(300, 2, 2))
     assert len(series) == 300
     assert series[0][1] in (0.0, 1.0)
     assert 0.7 <= series[-1][1] <= 0.95
-    assert upsilon(300, 2, 2, workers=3) == series
+    assert list(upsilon(300, 2, 2, workers=3)) == series
 
 
 def test_upsilon_twin_series():
-    series = upsilon_twin(300)
+    series = list(upsilon_twin(300))
     assert 0.3 <= series[-1][1] <= 0.7
-    assert upsilon_twin(300, workers=3) == series
+    assert list(upsilon_twin(300, workers=3)) == series
 
 
 def test_v_sequence_prefix():
@@ -211,13 +211,13 @@ def test_v_sequence_prefix():
 
 
 def test_upsilon_v():
-    series = upsilon_v(30)
+    series = list(upsilon_v(30))
     assert len(series) == 30
     assert 0.4 <= series[-1][1] <= 1.0
 
 
 def test_goldbach_constant_series_positive():
-    series = goldbach_constant_series(2000)
+    series = list(goldbach_constant_series(2000))
     assert series[-1][0] == 2000
     assert 0 < series[-1][1] <= 4
 
@@ -244,7 +244,7 @@ def test_legendre_series_workers_agree():
 
 
 def test_gap_diagnostics():
-    rows = gap_diagnostics(200)
+    rows = list(gap_diagnostics(200))
     assert rows[0][0] == 3 and rows[-1][0] == 200
     for N, a, b in rows:
         assert 0 <= a < 5 and 0 <= b < 5
