@@ -72,7 +72,7 @@ _FLAGS = {
     "budget": dict(type=int, default=engine.DEFAULT_BUDGET),
     "workers": dict(type=positive_int, default=1),
     "seed": dict(type=int, default=0),
-    "mr-rounds": dict(type=int, default=40),
+    "mr-rounds": dict(type=int, default=primality.DEFAULT_POLICY.rounds),
     "alpha": dict(type=fraction, default="1/2"),
     "samples": dict(type=int, default=1000),
     "lo": dict(type=int, default=10**6),
@@ -82,9 +82,6 @@ _FLAGS = {
     "n-hi": dict(type=int, default=5000),
     "count": dict(type=int, default=140),
 }
-
-# predict's families: the predictor takes the family's spec keys, then the jump
-_PREDICTORS = {"affine": records.predict_next_affine, "power": records.predict_next_power}
 
 
 def _add_flags(p: argparse.ArgumentParser, command, *names: str) -> None:
@@ -138,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, _cmd_scan, "workers", "seed", "mr-rounds")
 
     p = sub.add_parser("predict", help="record-jump prediction")
-    p.add_argument("family", choices=sorted(_PREDICTORS))
+    p.add_argument("family", choices=[family.tag for family in records.PREDICTED])
     p.add_argument("--m", type=int)
     p.add_argument("--b", type=int)
     p.add_argument("--c", type=int)
@@ -160,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _policy(args) -> primality.PrimalityPolicy:
-    return primality.PrimalityPolicy(rounds=args.mr_rounds, rng_seed=args.seed or 0x5EED_CAFE)
+    return primality.PrimalityPolicy(rounds=args.mr_rounds, rng_seed=args.seed or primality.DEFAULT_POLICY.rng_seed)
 
 
 def _write(args, rows, lines, exhausted: bool = False, **meta) -> int:
@@ -268,9 +265,8 @@ def _cmd_predict(args) -> int:
         given = getattr(args, key) is not None
         if given != (key in reads):
             raise SpecParseError(f"predict {args.family} {'does not read' if given else 'requires'} --{key}")
-    values = [getattr(args, key) for key in reads]
-    jump = records.RecordJump(args.record, args.tail, family(*values))
-    value = _PREDICTORS[args.family](*values, jump)
+    jump = records.RecordJump(args.record, args.tail, family(*(getattr(args, key) for key in reads)))
+    value = records.predict_next(jump)
     return _write(args, lambda: [str(value)], lambda: [str(value)])
 
 

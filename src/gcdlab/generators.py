@@ -6,8 +6,9 @@ int period beta (n mod beta) or a callable.  The paper's claim is the same
 for every such g: where the recursion reaches zero at n, each Q_j(n + 1) is
 prime.  So the Family base derives residue_polys() = (sel, polys), the
 class products that the engine reads (its naive stepping via eval_form);
-eval_arg(n) = polys[sel(n)](n); and claim_values(n), the sorted distinct
-Q_j(n + 1), which the Goldbach families override to keep a repeated summand.
+eval_arg(n) = polys[sel(n)](n); and claim_values(n), the sorted Q_j(n + 1)
+as the class's _claim keeps them: set drops a repeat, list (the Goldbach
+pairs) keeps it, and None (rowland, shevelev) raises NoClaimDefined.
 
 Its spec string, tag:key=value,..., is stated once too: the tag in its class
 statement and a _key field per key, from which Family.spec_str and
@@ -170,13 +171,13 @@ class Family:
     def eval_arg(self, n: int) -> int:
         return eval_form(self.residue_polys(), n)
 
-    def _factor_values(self, n: int):
-        """Q_j(n + 1) for every factor of every class, repeats kept."""
-        return [poly_eval(f, n + 1) for factors in self.residue_factors()[1] for f in factors]
+    _claim = set  # set, list or None: how claim_values keeps the Q_j(n + 1)
 
     def claim_values(self, n: int):
         """The values asserted prime when the recursion reaches zero at n."""
-        return sorted(set(self._factor_values(n)))
+        if self._claim is None:
+            raise NoClaimDefined(f"{self.tag} claims live on forward records, not zeros")
+        return sorted(self._claim(poly_eval(f, n + 1) for factors in self.residue_factors()[1] for f in factors))
 
     def spec_str(self) -> str:
         """tag:key=value,... in field order, less the keys at their default."""
@@ -336,11 +337,10 @@ class AlternatingLinear(Family, tag="alt-linear"):
 class ShevelevLinear(Family, tag="shevelev"):
     """g(n) = n - 1 + (-1)^n, the forward twin-record drive (no zero claim)."""
 
+    _claim = None
+
     def residue_factors(self):
         return 2, [[[0, 1]], [[-2, 1]]]
-
-    def claim_values(self, n: int):
-        raise NoClaimDefined("shevelev claims live on forward records, not zeros")
 
 
 @dataclass(frozen=True)
@@ -356,13 +356,12 @@ class GoldbachProduct(Family, tag="goldbach"):
     """g(n) = (n-1)(2N-n+1); decomposition claim (g_N, 2N-g_N), which keeps a
     repeated summand: N = 7 at n = 7 claims [7, 7]."""
 
+    _claim = list
+
     N: int = _key(_INT)
 
     def residue_factors(self):
         return 1, [[[-1, 1], [2 * self.N + 1, -1]]]
-
-    def claim_values(self, n: int):
-        return sorted(self._factor_values(n))
 
 
 @dataclass(frozen=True)
@@ -373,6 +372,8 @@ class GoldbachAlt(Family, tag="goldbach-alt"):
     repeated summand: N = 7 at n = 6 claims [7, 7].
     """
 
+    _claim = list
+
     N: int = _key(_INT)
     flip: bool = _key(_FLAG, default=False)  # swap the parity roles (used by the threshold scan)
 
@@ -381,9 +382,6 @@ class GoldbachAlt(Family, tag="goldbach-alt"):
         if self.flip:
             even_poly, odd_poly = odd_poly, even_poly
         return 2, [[even_poly], [odd_poly]]
-
-    def claim_values(self, n: int):
-        return sorted(self._factor_values(n))
 
 
 @dataclass(frozen=True)
@@ -403,11 +401,10 @@ class BeattyTwin(Family, tag="beatty"):
 class RowlandIndex(Family, tag="rowland"):
     """g(n) = n, the classic forward-additive drive (no zero claim)."""
 
+    _claim = None
+
     def residue_factors(self):
         return 1, [[[0, 1]]]
-
-    def claim_values(self, n: int):
-        raise NoClaimDefined("rowland claims live on forward records, not zeros")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import ClassVar
 
 PRIME = "prime"
 PROBABLE_PRIME = "probable-prime"
@@ -30,14 +31,14 @@ class PrimalityPolicy:
     seeded random strong-pseudoprime rounds above it."""
 
     rounds: int = 40
-    deterministic_bound: int = DETERMINISTIC_BOUND
     rng_seed: int = 0x5EED_CAFE
+    # not a field: kept readable for the benchmark's tracer, which compares
+    # n with policy.deterministic_bound
+    deterministic_bound: ClassVar[int] = DETERMINISTIC_BOUND
 
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if self.deterministic_bound < 2:
-            raise ValueError("deterministic_bound must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,7 @@ def _strong_test(n: int, base: int, d: int, s: int) -> bool:
 def is_prime(n: int, policy: PrimalityPolicy = DEFAULT_POLICY) -> PrimalityVerdict:
     """Primality verdict under the policy.
 
-    Deterministic for n below policy.deterministic_bound; above it, runs
+    Deterministic for n below DETERMINISTIC_BOUND; above it, runs
     `policy.rounds` seeded random strong tests and reports ProbablePrime
     with error bound 4**(-rounds).
     """
@@ -146,7 +147,7 @@ def is_prime(n: int, policy: PrimalityPolicy = DEFAULT_POLICY) -> PrimalityVerdi
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    if n < policy.deterministic_bound and n < DETERMINISTIC_BOUND:
+    if n < DETERMINISTIC_BOUND:
         for bound, witnesses in _WITNESS_TIERS:
             if n < bound:
                 break

@@ -1,11 +1,13 @@
 """Record-jump acceleration: build the next record value from the previous
 record plus only the harvested large-step tail, skipping the -1 plateau.
 
-For the affine family m*n - 1 the record regenerated after the k-th zero
-satisfies  W' = (m+1) W + m + m * sum(d_i + 1)  over the large negative
-steps d_i <= -2 between the two records.  For the power family b*n^c - 1
-the same bookkeeping gives  W' = b (W + 1 + ((W+1)/b)^(1/c) + sum(d_i+1))^c - 1,
-with the c-th root extracted exactly.
+predict_next has a formula for each family of PREDICTED.  For the affine
+family m*n - 1 the record regenerated after the k-th zero satisfies
+W' = (m+1) W + m + m * sum(d_i + 1)  over the large negative steps d_i <= -2
+between the two records; lalpha's candidate is this jump from 3m - 1 over a
+partial tail.  For the power family b*n^c - 1 the same bookkeeping gives
+W' = b (W + 1 + ((W+1)/b)^(1/c) + sum(d_i+1))^c - 1, with the c-th root
+extracted exactly; at c = 1 it is the affine W' only where m divides W + 1.
 """
 from __future__ import annotations
 
@@ -15,6 +17,8 @@ from fractions import Fraction
 
 from . import engine, primality
 from .generators import AffineMinus, PowerMinus
+
+PREDICTED = (AffineMinus, PowerMinus)  # the families predict_next has a formula for
 
 
 class NotPerfectPower(ValueError):
@@ -29,7 +33,7 @@ class InconsistentTail(ValueError):
 class RecordJump:
     prev_record: int
     tail_deltas: tuple
-    family: object  # AffineMinus or PowerMinus
+    family: object  # one of PREDICTED, for predict_next
 
     def __post_init__(self):
         object.__setattr__(self, "tail_deltas", tuple(self.tail_deltas))
@@ -55,30 +59,25 @@ def integer_nth_root(value: int, n: int) -> tuple[int, bool]:
     return lo, lo**n == value
 
 
-def predict_next_affine(m: int, jump: RecordJump) -> int:
-    """Next record of the m*n - 1 recursion from the previous one plus tail."""
-    if not isinstance(jump.family, AffineMinus) or jump.family.m != m:
-        raise ValueError("jump family does not match the requested m")
-    w = jump.prev_record
-    out = (m + 1) * w + m + m * sum(d + 1 for d in jump.tail_deltas)
-    if out <= 0:
-        raise InconsistentTail(f"predicted record {out} is not positive")
-    return out
-
-
-def predict_next_power(b: int, c: int, jump: RecordJump) -> int:
-    """Next record of the b*n^c - 1 recursion from the previous one plus tail."""
-    fam = jump.family
-    if not isinstance(fam, PowerMinus) or (fam.b, fam.c) != (b, c):
-        raise ValueError("jump family does not match the requested (b, c)")
-    w = jump.prev_record
+def predict_next(jump: RecordJump) -> int:
+    """Next record of the jump's family, affine or power, from the previous
+    record plus the tail."""
+    fam, w = jump.family, jump.prev_record
+    tail = sum(d + 1 for d in jump.tail_deltas)
+    if isinstance(fam, AffineMinus):
+        out = (fam.m + 1) * w + fam.m + fam.m * tail
+        if out <= 0:
+            raise InconsistentTail(f"predicted record {out} is not positive")
+        return out
+    if not isinstance(fam, PowerMinus):
+        raise ValueError(f"no record-jump formula for {fam.spec_str()}")
+    b, c = fam.b, fam.c
     if (w + 1) % b:
         raise NotPerfectPower(f"{w + 1} is not divisible by {b}")
     root, exact = integer_nth_root((w + 1) // b, c)
     if not exact:
         raise NotPerfectPower(f"({w + 1})/{b} is not a perfect {c}-th power")
-    base = w + 1 + root + sum(d + 1 for d in jump.tail_deltas)
-    return b * base**c - 1
+    return b * (w + 1 + root + tail) ** c - 1
 
 
 def harvest_tail(trace, start_index: int, end_index: int) -> list:
@@ -89,30 +88,29 @@ def harvest_tail(trace, start_index: int, end_index: int) -> list:
 
 
 def _window_floor(m: int, alpha) -> int:
-    """floor(m**alpha) for rational alpha in (0, 1]."""
+    """floor(m**alpha) for rational alpha in (0, 1] with a denominator of at
+    most 64: the exact root's cost grows with the denominator."""
     frac = Fraction(alpha)
     if not 0 < frac <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {frac}")
-    frac = frac.limit_denominator(64)
+    if frac.denominator > 64:
+        raise ValueError(f"alpha needs a denominator of at most 64, got {frac}")
     root, _ = integer_nth_root(m**frac.numerator, frac.denominator)
     return root
 
 
 def second_record_candidate(m: int, alpha, trace) -> int:
-    """Candidate second record (m+1)(3m-1) + m + m*sum over the partial window.
+    """Candidate second record: the affine jump from the first record over a
+    partial tail, the large steps at indices 5 .. floor(m**alpha) + 1.
 
-    The sum runs over large steps at indices 5 .. floor(m**alpha) + 1 (a
-    partial window after the first record); the first record of the affine recursion
-    from initial 1 is always 3m - 1, regenerated at index 3.  A window below 4
-    is degenerate and contributes nothing.
+    The first record of the affine recursion from initial 1 is always
+    3m - 1, regenerated at index 3.  A window below 4 is degenerate and
+    contributes nothing.
     """
     window = _window_floor(m, alpha)
     if window >= 4 and trace.final_index < window + 1:
         raise ValueError("trace too short for the requested window")
-    tail = sum(
-        d + 1 for (n, d) in trace.large_steps if 5 <= n <= window + 1 and d <= -2
-    )
-    return (m + 1) * (3 * m - 1) + m + m * tail
+    return predict_next(RecordJump(3 * m - 1, harvest_tail(trace, 4, window + 1), AffineMinus(m=m)))
 
 
 def second_record_candidate_for(m: int, alpha) -> int:

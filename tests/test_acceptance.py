@@ -115,7 +115,7 @@ def test_criterion_3_record_jumps(say):
         for k in range(7):
             tail = records.harvest_tail(tr, zs[k] + 1, zs[k + 1])
             jump = records.RecordJump(recs[k], tail, AffineMinus(m=m))
-            ok &= records.predict_next_affine(m, jump) == recs[k + 1]
+            ok &= records.predict_next(jump) == recs[k + 1]
     for b, c in ((2, 2), (3, 2), (2, 3)):
         cfg = RunConfig(initial=b, arg=PowerMinus(b=b, c=c), stop_after_zeros=3, budget=10**9)
         tr = engine.run(cfg)
@@ -124,29 +124,24 @@ def test_criterion_3_record_jumps(say):
         for k in range(2):
             tail = records.harvest_tail(tr, zs[k] + 1, zs[k + 1])
             jump = records.RecordJump(recs[k], tail, PowerMinus(b=b, c=c))
-            ok &= records.predict_next_power(b, c, jump) == recs[k + 1]
+            ok &= records.predict_next(jump) == recs[k + 1]
     worked = [
-        records.predict_next_affine(
-            10,
+        records.predict_next(
             records.RecordJump(
                 43213789,
                 [-3, -13, -15241, -43, -1889, -3, -433, -113, -3, -5827, -247],
                 AffineMinus(m=10),
             ),
         ),
-        records.predict_next_affine(
-            100000, records.RecordJump(29994499999, [-3, -7, -53, -3], AffineMinus(m=100000))
+        records.predict_next(
+            records.RecordJump(29994499999, [-3, -7, -53, -3], AffineMinus(m=100000))
         ),
-        records.predict_next_power(
-            32,
-            2,
+        records.predict_next(
             records.RecordJump(
                 2760686028799, [-113, -103, -7, -7, -113], PowerMinus(b=32, c=2)
             ),
         ),
-        records.predict_next_power(
-            2,
-            3,
+        records.predict_next(
             records.RecordJump(265301, [-109, -31, -17, -3, -5, -3], PowerMinus(b=2, c=3)),
         ),
     ]

@@ -581,6 +581,7 @@ def test_metadata_records_only_flags_the_command_has(capsys, argv, keys):
         ("stats lalpha --alpha=-1/2 --samples 3", "alpha must be in (0, 1], got -1/2"),
         ("stats lalpha --alpha 0 --samples 3", "alpha must be in (0, 1], got 0"),
         ("stats lalpha --alpha 3/2 --samples 3", "alpha must be in (0, 1], got 3/2"),
+        ("stats lalpha --alpha 0.49 --samples 3", "alpha needs a denominator of at most 64, got 49/100"),
         ("run --spec power:b=2,c=0 --initial 5 --zeros 2", "power needs b >= 1 and c >= 1"),
         ("run --spec primepower:p=0 --initial 5 --zeros 2", "primepower needs p >= 1"),
         ("table c4 --c 0", "power needs b >= 1 and c >= 1"),
@@ -593,6 +594,7 @@ def test_metadata_records_only_flags_the_command_has(capsys, argv, keys):
         ("table appendix2 --p 3", "table appendix2 does not read --p"),
         ("table appendix1 --m 2 --p 3", "table appendix1 does not read --m, --p"),
         ("table c6 --spec rowland --initial 7", "rowland claims live on forward records"),
+        ("table c6 --spec shevelev --initial 7", "shevelev claims live on forward records"),
         ("zeros --spec affine:m=5,z=1 --count 1", "affine reads m, not 'z'"),
         ("zeros --spec poly:p=x^2+1,q=3 --count 1", "poly reads p, not 'q'"),
         ("zeros --spec affine:m=5,m=6 --count 1", "key 'm' is given twice"),

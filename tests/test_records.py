@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gcdlab import engine, primality, records
 from gcdlab.engine import RunConfig
-from gcdlab.generators import AffineMinus, PowerMinus
+from gcdlab.generators import AffineMinus, PowerMinus, QuadShift
 
 
 def affine_trace(m, count):
@@ -40,7 +40,7 @@ def test_affine_jump_matches_engine():
         for k in range(len(recs) - 1):
             tail = records.harvest_tail(tr, zs[k] + 1, zs[k + 1])
             jump = records.RecordJump(recs[k], tail, AffineMinus(m=m))
-            assert records.predict_next_affine(m, jump) == recs[k + 1]
+            assert records.predict_next(jump) == recs[k + 1]
 
 
 def test_power_jump_matches_engine():
@@ -52,12 +52,12 @@ def test_power_jump_matches_engine():
         for k in range(len(recs) - 1):
             tail = records.harvest_tail(tr, zs[k] + 1, zs[k + 1])
             jump = records.RecordJump(recs[k], tail, PowerMinus(b=b, c=c))
-            assert records.predict_next_power(b, c, jump) == recs[k + 1]
+            assert records.predict_next(jump) == recs[k + 1]
 
 
 def test_predict_affine_base_case():
     jump = records.RecordJump(2, [], AffineMinus(m=1))
-    assert records.predict_next_affine(1, jump) == 5
+    assert records.predict_next(jump) == 5
 
 
 def test_predict_power_2591():
@@ -66,7 +66,7 @@ def test_predict_power_2591():
     tr = engine.run(cfg)
     tail = records.harvest_tail(tr, tr.zero_indices[0] + 1, tr.zero_indices[1])
     jump = records.RecordJump(31, tail, PowerMinus(b=2, c=2))
-    assert records.predict_next_power(2, 2, jump) == 2591
+    assert records.predict_next(jump) == 2591
 
 
 def test_worked_candidates():
@@ -75,27 +75,26 @@ def test_worked_candidates():
         [-3, -13, -15241, -43, -1889, -3, -433, -113, -3, -5827, -247],
         AffineMinus(m=10),
     )
-    assert records.predict_next_affine(10, j) == 475113649
+    assert records.predict_next(j) == 475113649
     j = records.RecordJump(29994499999, [-3, -7, -53, -3], AffineMinus(m=100000))
-    assert records.predict_next_affine(100000, j) == 2999479988299999
+    assert records.predict_next(j) == 2999479988299999
     j = records.RecordJump(2760686028799, [-113, -103, -7, -7, -113], PowerMinus(b=32, c=2))
-    assert records.predict_next_power(32, 2, j) == 243884447023448880167715967
+    assert records.predict_next(j) == 243884447023448880167715967
     j = records.RecordJump(265301, [-109, -31, -17, -3, -5, -3], PowerMinus(b=2, c=3))
-    assert records.predict_next_power(2, 3, j) == 37299785868725741
+    assert records.predict_next(j) == 37299785868725741
 
 
 def test_predict_power_rejects_inexact_root():
     jump = records.RecordJump(13, [], PowerMinus(b=2, c=2))  # (13+1)/2 = 7 not a square
     with pytest.raises(records.NotPerfectPower):
-        records.predict_next_power(2, 2, jump)
+        records.predict_next(jump)
 
 
 def test_family_mismatch_rejected():
-    jump = records.RecordJump(9, [], AffineMinus(m=2))
-    with pytest.raises(ValueError):
-        records.predict_next_affine(5, jump)
-    with pytest.raises(ValueError):
-        records.predict_next_power(2, 2, jump)
+    # the jump carries its family, so only a family with no formula is left
+    jump = records.RecordJump(9, [], QuadShift(m=1))
+    with pytest.raises(ValueError, match="no record-jump formula for quadshift:m=1"):
+        records.predict_next(jump)
 
 
 def test_tail_validation():
@@ -105,7 +104,7 @@ def test_tail_validation():
         records.RecordJump(0, [], AffineMinus(m=2))
     # (m+1)w + m + m*sum(d + 1) = 3 + 2 - 18 is no record
     with pytest.raises(records.InconsistentTail, match="predicted record -13 is not positive"):
-        records.predict_next_affine(2, records.RecordJump(1, [-10], AffineMinus(m=2)))
+        records.predict_next(records.RecordJump(1, [-10], AffineMinus(m=2)))
 
 
 def test_second_record_candidate_rejects_a_short_trace():
@@ -116,8 +115,9 @@ def test_second_record_candidate_rejects_a_short_trace():
 
 
 def test_second_record_candidate_full_window_is_exact():
-    # alpha = 1 covers the whole inter-record gap, so the candidate is the record
-    for m in (11, 28, 100):
+    # alpha = 1 covers the whole inter-record gap, so the candidate is the record;
+    # m = 10 has its first large step, -7, at index 5, the tail's first index
+    for m in (10, 11, 28, 100):
         tr = affine_trace(m, 2)
         exact = m * (tr.zero_indices[1] + 1) - 1
         assert records.second_record_candidate_for(m, 1) == exact
@@ -165,3 +165,16 @@ def test_alpha_outside_0_1_rejected(alpha):
     # a negative alpha once reached integer_nth_root with a float
     with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\]"):
         records.estimate_L_alpha(alpha, [10**6])
+
+
+@pytest.mark.parametrize("alpha", [Fraction(49, 100), Fraction(333, 1000), Fraction(1, 65)])
+def test_alpha_with_a_denominator_above_64_rejected(alpha):
+    # 49/100 was once rounded to 25/51 while the metadata said 49/100
+    with pytest.raises(ValueError, match=f"alpha needs a denominator of at most 64, got {alpha}"):
+        records.estimate_L_alpha(alpha, [10**6])
+
+
+def test_alpha_with_a_denominator_of_64_is_exact():
+    # floor(m^(63/64)) itself, not a nearby fraction's root
+    m = 10**6 + 3
+    assert records._window_floor(m, Fraction(63, 64)) == records.integer_nth_root(m**63, 64)[0]
