@@ -2,7 +2,8 @@
 
 The package splits into:
 
-- primality: tiered Miller-Rabin with explicit error accounting
+- primality: tiered Miller-Rabin, exact below a deterministic bound and
+  wrong with probability at most 4^-rounds above it
 - generators: the argument sequences g(n) and their claim maps
 - engine: absolute/signed backward descent and forward addition, with
   event-jump acceleration on plateau segments

@@ -55,15 +55,15 @@ The factorizations are done in-house: values below 2^20 are read off
 package's one sieve (it also answers `is_prime` below 2^20 and seeds the
 segmented sieve of `primality.prime_flags`).  It is a stdlib array (uint16,
 2 MB, odd multiples only) holding 0 at the primes, so the scalar paths run
-without numpy; the lane path and prime_flags view it as numpy uint16.  Larger
-values are trial-divided by the primes below 2^12, and the cofactors left over
-are split by Brent's variant of Pollard rho and tested by `primality.is_prime`.
+without numpy; the lane path and prime_flags view it as numpy uint16.  A
+larger value is split by Brent's variant of Pollard rho until each cofactor
+is below 2^20, and so read off the table, or `primality.is_prime` accepts it.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import chain, cycle, groupby, islice
 from math import gcd
 from operator import itemgetter
@@ -83,8 +83,6 @@ DEFAULT_BUDGET = 10_000_000
 # _SCAN_MIN in 16..1024 and _SCAN_SHIFT in 0..4.
 _SCAN_MIN = 256
 _SCAN_SHIFT = 3
-# Large factoring inputs are first trial-divided by the primes below this.
-_TRIAL_LIMIT = 1 << 12
 # Brent rho: steps whose x - y are multiplied together before one gcd.
 _RHO_BATCH = 128
 # first_zeros: the most runs descending at once on the lane path, whose
@@ -177,15 +175,8 @@ def _spf_factors(q: int) -> list:
     return out
 
 
-@cache
-def _small_primes() -> tuple:
-    """The primes below _TRIAL_LIMIT, in increasing order."""
-    t = _spf_table()
-    return tuple(p for p in range(2, _TRIAL_LIMIT) if t[p] == 0)
-
-
 def _brent_split(n: int) -> int:
-    """A proper divisor of the odd composite n, by Brent's variant of Pollard
+    """A proper divisor of the composite n, by Brent's variant of Pollard
     rho (Brent 1980): x -> x^2 + c from x = 2, with c = 1, 2, ... until one
     splits n.  The x - y products are batched _RHO_BATCH at a time under one
     gcd; a batch that overshoots to n is replayed one gcd at a time."""
@@ -219,24 +210,17 @@ def _brent_split(n: int) -> int:
 def _prime_factors(q: int) -> tuple:
     """Distinct prime factors of q >= 2, in increasing order.
 
-    Below _SPF_LIMIT they are read off the SPF table.  Above it: trial
-    division by the primes below _TRIAL_LIMIT, then a stack of cofactors
-    where each one below _SPF_LIMIT goes to the SPF table, each one that
-    `primality.is_prime` accepts is a factor, and any other is split by
-    Brent's rho.  `is_prime` is exact below DETERMINISTIC_BOUND; a cofactor
-    at or above it is a probable prime under DEFAULT_POLICY, with error at
-    most 4**-40 (sympy's BPSW test, used here before, was not proven in that
-    range either).
+    Below _SPF_LIMIT they are read off the SPF table.  Above it, a stack of
+    cofactors starts from q itself: each one below _SPF_LIMIT goes to the SPF
+    table, each one that `primality.is_prime` accepts is a factor, and any
+    other, even or odd, is split by Brent's rho.  `is_prime` is exact below
+    DETERMINISTIC_BOUND; a cofactor at or above it is a probable prime under
+    DEFAULT_POLICY, with error at most 4**-40 (sympy's BPSW test, used here
+    before, was not proven in that range either).
     """
     if q < _SPF_LIMIT:
         return tuple(_spf_factors(q))
     found = set()
-    for p in _small_primes():
-        if q % p == 0:
-            found.add(p)
-            q //= p
-            while q % p == 0:
-                q //= p
     stack = [q]
     while stack:
         m = stack.pop()

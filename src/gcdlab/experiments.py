@@ -259,7 +259,11 @@ def _claims_hold_map(runs: list, workers: int, policy, start_index: int = 1) -> 
 def scan_threshold(
     family: str, n_hi: int, workers: int = 1, policy=primality.DEFAULT_POLICY
 ) -> ThresholdScanReport:
-    """Scan N = 2..n_hi and report every N whose first-zero claim fails."""
+    """Scan N = 2..n_hi and report every N whose first-zero claim fails.
+
+    N's descent starts from N + offset.  An N where that is negative
+    (triplet's N = 2..5, goldbach's N = 2) is never descended, so it never
+    fails, and the CLI's CSV row for it reads 0."""
     if family not in _SCAN_FAMILIES:
         raise ValueError(f"unknown scan family {family!r}")
     n_lo = 2

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import MISSING, dataclass, field, fields
-from functools import reduce
+from functools import cached_property, reduce
 
 
 class NoClaimDefined(ValueError):
@@ -168,8 +168,14 @@ class Family:
         sel, classes = self.residue_factors()
         return sel, [reduce(poly_mul, rest, list(first)) for first, *rest in classes]
 
+    @cached_property
+    def _form(self):
+        # eval_arg's copy of residue_polys(), made once per instance; the
+        # engine calls residue_polys() itself, so its specs hold no copy
+        return self.residue_polys()
+
     def eval_arg(self, n: int) -> int:
-        return eval_form(self.residue_polys(), n)
+        return eval_form(self._form, n)
 
     _claim = set  # set, list or None: how claim_values keeps the Q_j(n + 1)
 

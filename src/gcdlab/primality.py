@@ -1,22 +1,19 @@
-"""Primality verdicts, the indicator delta, and neighbor-prime helpers.
+"""Primality test, the indicator delta, and neighbor-prime helpers.
 
 Every claim check in the package funnels through `delta`, so this module is
 deliberately self-contained and fast for the small-to-medium integers that
 dominate the workload, while staying correct for the ~100-digit record
-values produced by the acceleration formulas.
+values produced by the acceleration formulas.  `is_prime` answers a bool:
+exact below DETERMINISTIC_BOUND, and above it wrong with probability at most
+4^-rounds under the policy.
 """
 from __future__ import annotations
 
 import random
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 from typing import ClassVar
-
-PRIME = "prime"
-PROBABLE_PRIME = "probable-prime"
-COMPOSITE = "composite"
 
 # Strong-pseudoprime testing with the first 13 primes as witnesses is
 # deterministic below this bound (Sorenson & Webster).
@@ -39,15 +36,6 @@ class PrimalityPolicy:
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-
-
-@dataclass(frozen=True)
-class PrimalityVerdict:
-    kind: str
-    error_bound: Fraction = Fraction(0)
-
-    def __bool__(self) -> bool:
-        return self.kind in (PRIME, PROBABLE_PRIME)
 
 
 DEFAULT_POLICY = PrimalityPolicy()
@@ -130,20 +118,22 @@ def _strong_test(n: int, base: int, d: int, s: int) -> bool:
     return False
 
 
-def is_prime(n: int, policy: PrimalityPolicy = DEFAULT_POLICY) -> PrimalityVerdict:
-    """Primality verdict under the policy.
+def is_prime(n: int, policy: PrimalityPolicy = DEFAULT_POLICY) -> bool:
+    """Whether n is prime, under the policy.
 
-    Deterministic for n below DETERMINISTIC_BOUND; above it, runs
-    `policy.rounds` seeded random strong tests and reports ProbablePrime
-    with error bound 4**(-rounds).
+    Exact for n below DETERMINISTIC_BOUND: the SPF table below 2^20, then
+    trial division by _TRIAL_PRIMES and deterministic strong-test witnesses.
+    At or above it, `policy.rounds` strong tests to bases drawn from a
+    generator seeded by policy.rng_seed and n; a composite passes all of them
+    with probability at most 4**-rounds.
     """
     if n < 2:
-        return PrimalityVerdict(COMPOSITE)
+        return False
     if n < _SMALL_SIEVE_LIMIT:
-        return PrimalityVerdict(COMPOSITE if _spf_table()[n] else PRIME)
+        return not _spf_table()[n]
     for p in _TRIAL_PRIMES:
         if n % p == 0:
-            return PrimalityVerdict(COMPOSITE if n != p else PRIME)
+            return n == p
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
@@ -151,34 +141,23 @@ def is_prime(n: int, policy: PrimalityPolicy = DEFAULT_POLICY) -> PrimalityVerdi
         for bound, witnesses in _WITNESS_TIERS:
             if n < bound:
                 break
-        for a in witnesses:
-            if not _strong_test(n, a, d, s):
-                return PrimalityVerdict(COMPOSITE)
-        return PrimalityVerdict(PRIME)
+        return all(_strong_test(n, a, d, s) for a in witnesses)
     rng = random.Random(policy.rng_seed ^ (n & ((1 << 64) - 1)))
-    for _ in range(policy.rounds):
-        a = rng.randrange(2, n - 1)
-        if not _strong_test(n, a, d, s):
-            return PrimalityVerdict(COMPOSITE)
-    return PrimalityVerdict(PROBABLE_PRIME, Fraction(1, 4**policy.rounds))
+    return all(_strong_test(n, rng.randrange(2, n - 1), d, s) for _ in range(policy.rounds))
 
 
 def delta(n: int, policy: PrimalityPolicy = DEFAULT_POLICY) -> int:
     """Prime indicator: 1 on (probable) primes, 0 otherwise."""
-    return 1 if is_prime(n, policy) else 0
+    return int(is_prime(n, policy))
 
 
 def all_prime(values, policy: PrimalityPolicy = DEFAULT_POLICY) -> int:
-    """Product of delta over a non-empty list of values."""
+    """Product of delta over a non-empty list of values; it tests no value
+    past the first that is not prime."""
     values = list(values)
     if not values:
         raise ValueError("all_prime requires at least one value")
-    out = 1
-    for v in values:
-        out &= delta(v, policy)
-        if not out:
-            break
-    return out
+    return int(all(is_prime(v, policy) for v in values))
 
 
 def prev_prime(n: int, policy: PrimalityPolicy = DEFAULT_POLICY) -> int:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcdlab import engine, primality
-from gcdlab.primality import DETERMINISTIC_BOUND
+from gcdlab.primality import DETERMINISTIC_BOUND, is_prime
 
 factor = engine._prime_factors.__wrapped__  # bypass the LRU cache
 
@@ -123,6 +123,17 @@ def _hard_cases():
     rng = random.Random(0)  # the shape of the benchmark's 20-, 30- and 50-bit probe
     probe = [sympy.nextprime(rng.randrange(2 ** (b - 1), 2**b)) for b in (20, 30, 50)]
     cases.append(math.prod(probe))
+    # small factors of values at or above 2^20 reach the cofactor stack with
+    # the rest: rho splits them off, and the SPF table reads a cofactor once
+    # it is below 2^20
+    rng = random.Random(1)
+    cases += [2 * rng.randrange(2**20, 2**50) for _ in range(40)]  # even composites
+    cases += [2**k for k in range(21, 70)]  # 2^20 and 1048583^2 are above
+    cases.append(1099511627791**2)  # p^2 for p above 2^40
+    cases += [2**7 * 3**5 * 5**3 * 4093**2, 3**13 * 7**4, 2 * 4091**2 * 4093**2, 2**40 * 3**20 * 11**9]
+    big = sympy.nextprime(2**49 + 12345)
+    cases += [4093 * big, 2 * big, 9 * big]  # a prime below 2^12 times a 50-bit prime
+    cases.append(3215031751)  # a strong pseudoprime to bases 2, 3, 5 and 7
     return [int(q) for q in cases]
 
 
@@ -131,4 +142,5 @@ def test_prime_factors_hard_shapes(q):
     got = factor(q)
     assert set(got) == reference_factors(q)
     assert list(got) == sorted(got)
-
+    assert is_prime(q) is sympy.isprime(q)
+    assert all(is_prime(p) is True for p in got)

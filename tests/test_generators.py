@@ -1,5 +1,6 @@
 """Argument families: evaluation, claims, residue classes, serialization."""
 import math
+import pickle
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -184,6 +185,24 @@ def test_eval_arg_matches_closed_form(spec):
     g = CLOSED_FORM[spec]
     for n in range(1, 2000):
         assert spec.eval_arg(n) == g(n), n
+
+
+def test_eval_arg_derives_the_form_once_per_instance(monkeypatch):
+    calls = []
+    residue_factors = G.PeriodicAffine.residue_factors
+    monkeypatch.setattr(G.PeriodicAffine, "residue_factors", lambda self: calls.append(self) or residue_factors(self))
+    spec, fresh = G.PeriodicAffine(m=1, offsets=(2, 6, 0)), G.PeriodicAffine(m=1, offsets=(2, 6, 0))
+    values = [spec.eval_arg(n) for n in range(1, 500)]
+    assert len(calls) == 1
+    # the cached form changes neither equality, hash nor pickling
+    assert spec == fresh and hash(spec) == hash(fresh)
+    again = pickle.loads(pickle.dumps(spec))
+    assert again == fresh and [again.eval_arg(n) for n in range(1, 500)] == values
+    assert [fresh.eval_arg(n) for n in range(1, 500)] == values
+    assert len(calls) == 2
+    # residue_polys is not cached: the engine's calls keep no copy
+    spec.residue_polys()
+    assert len(calls) == 3
 
 
 def test_every_family_has_a_closed_form():

@@ -1,6 +1,4 @@
 """Primality layer: sieve region, deterministic witness region, random rounds."""
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,29 +36,41 @@ def test_strong_pseudoprimes_rejected():
 
 
 def test_verdict_kinds_and_error_bound():
-    v = is_prime(97)
-    assert v.kind == primality.PRIME and v.error_bound == 0
+    # each tier answers a bool: the sieve, the witnesses, the random rounds
+    assert is_prime(97) is True
+    assert is_prime(2**31 - 1) is True and is_prime(2**32 - 1) is False
     big = 2**521 - 1  # Mersenne prime above the deterministic bound
-    v = is_prime(big)
-    assert v.kind == primality.PROBABLE_PRIME
-    assert 0 < v.error_bound <= Fraction(1, 4) ** 40
-    assert bool(v)
-    assert not is_prime(big + 2)
+    assert is_prime(big) is True
+    assert is_prime(big + 2) is False
 
 
 def test_probable_prime_region_deterministic_given_seed():
     n = 2**127 - 1
     a = is_prime(n, PrimalityPolicy(rounds=10, rng_seed=7))
     b = is_prime(n, PrimalityPolicy(rounds=10, rng_seed=7))
-    assert a.kind == b.kind == primality.PROBABLE_PRIME
+    assert a is b is True
 
 
 def test_delta_and_all_prime():
     assert delta(13) == 1 and delta(14) == 0
     assert all_prime([3, 5, 7]) == 1
     assert all_prime([3, 5, 9]) == 0
+    assert type(delta(13)) is type(all_prime([3])) is int
     with pytest.raises(ValueError):
         all_prime([])
+
+
+def test_all_prime_tests_no_value_past_the_first_that_is_not_prime(monkeypatch):
+    seen = []
+    real = primality.is_prime
+
+    def recorded(n, policy=primality.DEFAULT_POLICY):
+        seen.append(n)
+        return real(n, policy)
+
+    monkeypatch.setattr(primality, "is_prime", recorded)
+    assert all_prime([3, 9, 5, 4]) == 0
+    assert seen == [3, 9]
 
 
 def test_prev_prime():

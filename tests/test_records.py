@@ -115,12 +115,25 @@ def test_second_record_candidate_rejects_a_short_trace():
 
 
 def test_second_record_candidate_full_window_is_exact():
-    # alpha = 1 covers the whole inter-record gap, so the candidate is the record;
-    # m = 10 has its first large step, -7, at index 5, the tail's first index
+    # alpha = 1 sums the large steps at indices 5 .. m + 1, which for these m
+    # are exactly those before the second zero, so the candidate is the second
+    # record; m = 10 has its first large step, -7, at index 5, the tail's first
+    # index
     for m in (10, 11, 28, 100):
         tr = affine_trace(m, 2)
         exact = m * (tr.zero_indices[1] + 1) - 1
         assert records.second_record_candidate_for(m, 1) == exact
+
+
+def test_second_record_candidate_full_window_ignores_the_second_zero():
+    # the window 5 .. m + 1 does not stop at the second zero: m = 52's second
+    # zero is at 22, so the window also sums steps past it, and m = 17's is at
+    # 19, past the window's last index 18.  These pin the formula as it is;
+    # whether the window should end at the second zero is open
+    for m, zero, candidate in ((52, 22, 467), (17, 19, 713)):
+        assert affine_trace(m, 2).zero_indices[1] == zero
+        assert records.second_record_candidate_for(m, 1) == candidate
+        assert candidate != m * (zero + 1) - 1
 
 
 def test_second_record_candidate_m28():
