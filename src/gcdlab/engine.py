@@ -41,13 +41,13 @@ side on the lane path: up to _LANES runs at a time as numpy arrays of (n, a,
 beta, coefficients), one pass moving each by one event.  A pass takes the
 class values by Horner in int64, their distinct primes from the SPF table
 and each prime's candidate index by _next_event's rules.  After each pass
-the lanes that left are refilled with the next runs, so the passes stay
-full until the runs run out; the runs are taken _CHUNK at a time, and each
-zero is written out as its lane leaves, so the lane path's memory does not
-grow with the number of runs.  A lane whose class values reach 2^20 finishes
-on the scalar path from its current state, and so does the last lane once
-no run is left; runs whose values could leave int64, and a call's lone lane
-run, take the scalar path throughout, the latter without importing numpy.
+the lanes that left are refilled with the next runs in one batch, so the
+passes stay full until the runs run out; each zero is written out as its
+lane leaves, so the lane path's memory does not grow with the number of
+runs.  A lane whose class values reach 2^20 finishes on the scalar path
+from its current state, and so does the last lane once no run is left; runs
+whose values could leave int64, and a call's lone lane run, take the scalar
+path throughout, the latter without importing numpy.
 The zeros, and so every output, are the scalar path's.
 
 The factorizations are done in-house: values below 2^20 are read off
@@ -86,14 +86,12 @@ _SCAN_SHIFT = 3
 # Brent rho: steps whose x - y are multiplied together before one gcd.
 _RHO_BATCH = 128
 # first_zeros: the most runs descending at once on the lane path, whose
-# lanes are refilled after every pass, _CHUNK runs at a time.  Peak RSS of
-# `stats goldbach-constant --n-hi 20000` through the CLI (2 shared cores, 3
-# runs each) at 2048, 4096 and 8192 lanes: 34.3, 35.3 and 37.5 MB with
-# chunks of 256 (chunks of 128 and 512 within 0.5 MB of it), against 35.3,
-# 37.7 and 41.8 MB for a fill in one batch.  4096 takes 215 numpy passes
+# lanes are refilled in one batch after every pass.  Peak RSS of `stats
+# goldbach-constant --n-hi 20000` through the CLI (2 shared cores, 3 runs
+# each): 35.0-35.1 MB at 2048 lanes, 37.7 MB at 4096, against 35.1-35.2 MB
+# for 4096 lanes refilled 256 runs at a time.  4096 takes 215 numpy passes
 # against 272 at 2048; wall time stayed within the host's noise.
-_LANES = 4096
-_CHUNK = 256
+_LANES = 2048
 
 
 class NonterminatingZeroRequest(ValueError):
@@ -438,32 +436,24 @@ def _lane_zeros(lane_runs, start_index: int, out: list) -> None:
     """Write the first zero of each (position, spec, initial, form) that
     lane_runs yields to out[position], as its lane leaves.  Up to _LANES
     lanes descend at a time, one numpy pass moving each by one event as run
-    steps; after each pass the lanes that left are refilled from lane_runs,
-    _CHUNK runs at a time, each chunk turned into the lanes' int64 arrays
-    before the next is taken.  A lane whose class values reach _SPF_LIMIT
-    finishes on run, and so does the last lane once lane_runs is empty.
-    Fewer than two lane runs in all finish on run before numpy is imported."""
-    head = list(islice(lane_runs, 2))
-    if len(head) < 2:
-        for at, spec, initial, _ in head:
+    steps; after each pass the lanes that left are refilled from lane_runs
+    in one batch, and a batch that comes back short leaves lane_runs empty.
+    A lane whose class values reach _SPF_LIMIT finishes on run, and so does
+    the last lane once lane_runs is empty.  A first fill of fewer than two
+    runs finishes on run before numpy is imported."""
+    new = list(islice(lane_runs, _LANES))
+    if len(new) < 2:
+        for at, spec, initial, _ in new:
             out[at] = _first_zero(spec, initial, start_index, None)
         return
     import numpy as np
 
-    lane_runs = chain(head, lane_runs)
+    empty = len(new) < _LANES  # lane_runs has no run left
     position = n = a = beta = np.zeros(0, dtype=np.int64)
     spec = np.zeros(0, dtype=object)
     coeffs = np.zeros((0, 1, 1), dtype=np.int64)
-    empty = False  # lane_runs has no run left
     while True:
-        # fill the lanes that left, _CHUNK runs at a time, so the run tuples
-        # and padded coefficient lists alive are a chunk's, not a whole fill's
-        while len(n) < _LANES and not empty:
-            wanted = min(_CHUNK, _LANES - len(n))
-            new = list(islice(lane_runs, wanted))
-            empty = len(new) < wanted
-            if not new:
-                break
+        if new:
             forms = [form for *_, form in new]
             width = max(coeffs.shape[1], *(b for b, _ in forms))
             length = max(coeffs.shape[2], *(len(p) for _, polys in forms for p in polys))
@@ -502,6 +492,8 @@ def _lane_zeros(lane_runs, start_index: int, out: list) -> None:
             out[at] = z
         keep = ~done
         position, spec, n, a, coeffs, beta = (v[keep] for v in (position, spec, n, a, coeffs, beta))
+        new = [] if empty else list(islice(lane_runs, _LANES - len(n)))
+        empty = empty or len(new) < _LANES - len(n)
 
 
 def _next_events(n, x, q, beta):
@@ -526,12 +518,10 @@ def _next_events(n, x, q, beta):
             found = np.where((j < b) & (i % b == k), np.minimum(found, i), found)
             i += p
         np.minimum.at(best, lane, found)
-        # divide p out; a zero value, with p = 1, is done
+        # a p that still divides v comes back as spf[v] next round and
+        # proposes the same i, which moves no minimum; a zero value, with
+        # p = 1, is done
         v //= p
-        again = np.flatnonzero((v % p == 0) & (p > 1))
-        while again.size:
-            v[again] //= p[again]
-            again = again[v[again] % p[again] == 0]
         keep = v > 1
         lane, k, v = lane[keep], k[keep], v[keep]
     return best, q[np.arange(len(q)), best % beta]

@@ -251,6 +251,11 @@ def _claims_hold(job) -> list:
 
 def _claims_hold_map(runs: list, workers: int, policy, start_index: int = 1) -> list:
     """_claims_hold over runs, cut into consecutive jobs, about eight per worker."""
+    # a job's stretch of equal specs shares one descent memo until the job
+    # ends, so smaller jobs hold smaller memos.  With one job per worker,
+    # `scan triplet --n-hi 100000 --workers 2` peaked at 57.1-57.2 MB instead
+    # of 43.9-44.1 MB, with the same output and wall time within the noise
+    # (1.9-2.3 s against 2.0-2.9 s; 3 runs each on 2 shared cores)
     size = max(1, len(runs) // (max(1, workers) * 8))
     jobs = [(runs[k : k + size], start_index, policy) for k in range(0, len(runs), size)]
     return _pool_map(_claims_hold, jobs, workers)

@@ -410,14 +410,16 @@ def test_lane_event_invariant_raises(monkeypatch):
         engine.first_zeros([(AffineMinus(m=1), 10), (AffineMinus(m=2), 12)])
 
 
-def test_refills_widen_the_lanes(monkeypatch):
+@pytest.mark.parametrize("lanes", (2, 5))
+def test_refills_widen_the_lanes(monkeypatch, lanes):
     # wider periods (1, then 3) and higher degrees (1, 2, then 3) arrive
-    # while lanes of the narrower forms are still descending; neighbouring
-    # runs are of different families, so each takes a lane
-    monkeypatch.setattr(engine, "_LANES", 2)
+    # while lanes of the narrower forms are still descending, and a refill
+    # of several runs brings them beside one another; neighbouring runs are
+    # of different families, so each takes a lane
+    monkeypatch.setattr(engine, "_LANES", lanes)
     specs = [AffineMinus(m=5), QuadShift(m=2), PeriodicAffine(m=3, offsets=(-1, 4, 0)), AlternatingQuad()]
     specs += [parse_spec("triplet"), parse_spec("periodic-factored:q=x^2+1|x^2+3|x+1,schedule=2;3;1")]
-    runs = [(spec, initial) for initial in (900, 40, 2500) for spec in specs]
+    runs = [(spec, initial) for initial in (900, 40, 2500, 7) for spec in specs]
     assert engine.first_zeros(runs) == [naive_first_zero(spec, k, 1) for spec, k in runs]
 
 
@@ -428,18 +430,6 @@ def test_the_last_lane_finishes_on_run(hand_offs):
     assert engine.first_zeros(runs) == [naive_first_zero(spec, k, 1) for spec, k in runs]
     ((n, a),) = hand_offs
     assert 1 < n and 0 < a < 2000
-
-
-def test_fills_of_several_chunks_widen_the_lanes(monkeypatch):
-    # 5 lanes filled 2 runs at a time: a fill spans three chunks, and a
-    # later chunk brings a wider period or a higher degree than the lanes
-    # that an earlier chunk of the same fill set up
-    monkeypatch.setattr(engine, "_LANES", 5)
-    monkeypatch.setattr(engine, "_CHUNK", 2)
-    specs = [AffineMinus(m=5), QuadShift(m=2), PeriodicAffine(m=3, offsets=(-1, 4, 0)), AlternatingQuad()]
-    specs += [parse_spec("triplet"), parse_spec("periodic-factored:q=x^2+1|x^2+3|x+1,schedule=2;3;1")]
-    runs = [(spec, initial) for initial in (900, 40, 2500, 7) for spec in specs]
-    assert engine.first_zeros(runs) == [naive_first_zero(spec, k, 1) for spec, k in runs]
 
 
 def lane_transient_bytes(count):
@@ -458,7 +448,7 @@ def lane_transient_bytes(count):
 
 
 def test_lane_memory_does_not_grow_with_the_runs(monkeypatch):
-    # the lane path holds its lanes and one chunk of runs, and writes each
+    # the lane path holds its lanes and one fill of runs, and writes each
     # zero out as its lane leaves, so 6000 more runs must add nothing; zeros
     # kept until the end would add 64 bytes a run (0.37 MB here).  512 lanes
     # keep the lanes' own memory small beside that

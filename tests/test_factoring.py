@@ -85,6 +85,32 @@ def test_next_events_on_prime_and_zero_class_values():
         assert (int(i[lane]), int(value[lane])) == hit
 
 
+# class values below 2^20: 0 and 1, primes (1048573 the largest), prime
+# powers, whose repeated primes _next_events divides out one round at a time,
+# and values with several distinct primes
+_class_values = st.sampled_from((0, 1, 2, 3, 97, 1048573, 2**19, 3**12, 7**7, 2**10 * 3**6)) | st.integers(
+    0, primality._SMALL_SIEVE_LIMIT - 1
+)
+_lane_rows = st.tuples(st.integers(0, 50), st.integers(1, 5000), st.lists(_class_values, min_size=1, max_size=3))
+
+
+@given(st.lists(_lane_rows, min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_next_events_equal_the_scalar_finder(lanes):
+    # one row per lane: (n, a = x - n - 1, class values over a period 1-3),
+    # padded with 1 past the period; no event in (n, x - 2] reads as x - 1
+    width = max(len(values) for *_, values in lanes)
+    n = np.array([m for m, _, _ in lanes])
+    x = n + 1 + np.array([a for _, a, _ in lanes])
+    q = np.array([values + [1] * (width - len(values)) for *_, values in lanes])
+    beta = np.array([len(values) for *_, values in lanes])
+    i, value = engine._next_events(n, x, q, beta)
+    for lane, (m, a, values) in enumerate(lanes):
+        top = m + 1 + a
+        hit = engine._next_event(m, top, top - 2, len(values), [[v] for v in values])
+        assert (int(i[lane]), int(value[lane])) == (hit or (top - 1, values[(top - 1) % len(values)]))
+
+
 # Brent rho costs about the square root of the second-largest prime factor,
 # so the drawn inputs keep that factor below 2^34 (each example well under a
 # second); the fixed cases below cover the hard shapes.
