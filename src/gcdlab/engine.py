@@ -21,9 +21,9 @@ Factoring is skipped where stepping is cheaper.  The step at index i of a
 plateau is gcd(x - i, q) with q = |polys[sel(i)](x)|, one small gcd.  Values
 below 2^20 are factored by a table lookup, so they are always factored.  A
 larger value costs Brent's rho about q^(1/4) steps, so the event finder first
-tests the plateau's next max(_SCAN_MIN, 2^(bits/4 - _SCAN_SHIFT)) indices with
-one gcd each, bits being the largest value's bit length.  It factors only if
-the plateau is longer than that and no index in it is an event.
+tests the plateau's next 2^(bits/4 - _SCAN_SHIFT) indices with one gcd each,
+bits being the largest value's bit length.  It factors only if the plateau is
+longer than that and no index in it is an event.
 
 A plateau from a = 0 has no x to jump on, so it is stepped one index at a
 time instead.
@@ -77,11 +77,10 @@ FORWARD_ADD = "forward"
 
 DEFAULT_BUDGET = 10_000_000
 
-# The event finder tests at least _SCAN_MIN indices one by one before it
-# factors a value of `bits` bits, or 2^(bits/4 - _SCAN_SHIFT) if that is more.
-# Both were picked by timing perfbench's factor-heavy commands in-process over
-# _SCAN_MIN in 16..1024 and _SCAN_SHIFT in 0..4.
-_SCAN_MIN = 256
+# The event finder tests 2^(bits/4 - _SCAN_SHIFT) indices, at least 4, before
+# it factors a value of bits >= 21 bits.  CLI CPU time against shift 3: 4 took
+# upsilon-v 60 0.21 -> 0.23 s, 2 took affine:m=1's 80 zeros 1.06 -> 1.62 s; a
+# floor of 256 indices took `stats upsilon --n-hi 20000` 0.81 -> 1.28 s.
 _SCAN_SHIFT = 3
 # Brent rho: steps whose x - y are multiplied together before one gcd.
 _RHO_BATCH = 128
@@ -112,14 +111,14 @@ class RunConfig:
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
+        if self.initial < 0:
+            raise ValueError("initial must be >= 0")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
         if self.stop_after_zeros is not None and self.stop_after_zeros < 1:
             raise ValueError("stop_after_zeros must be >= 1")
         if self.mode not in (ABS_BACKWARD, SIGNED_BACKWARD, FORWARD_ADD):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.initial < 0:
-            raise ValueError("initial must be >= 0")
 
 
 class ForwardDiffs(Sequence):
@@ -243,7 +242,7 @@ def _next_event(n: int, x: int, hi: int, sel, polys) -> tuple | None:
     qs = [abs(poly_eval(poly, x)) for poly in polys]
     largest = max(qs)
     if largest >= _SPF_LIMIT:
-        end = min(hi, n + max(_SCAN_MIN, 1 << (largest.bit_length() // 4 - _SCAN_SHIFT)))
+        end = min(hi, n + (1 << (largest.bit_length() // 4 - _SCAN_SHIFT)))
         indices = range(n + 1, end + 1)
         if beta:
             k = (n + 1) % beta
@@ -405,7 +404,7 @@ def _lane_runs(runs, start_index: int, out: list):
         _, initial = head[0]
         beta, polys = form = spec.residue_polys()
         x_max = abs(start_index) + 1 + initial  # bounds |x| over the descent
-        if len(head) == 1 and initial and isinstance(beta, int) and _fits_int64(polys, x_max):
+        if len(head) == 1 and initial > 0 and isinstance(beta, int) and _fits_int64(polys, x_max):
             out.append(None)
             yield len(out) - 1, spec, initial, form
         else:

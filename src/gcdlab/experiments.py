@@ -388,9 +388,7 @@ def goldbach_constant_series(n_hi: int):
 
 def legendre_count(N: int) -> int:
     """Number of k in [2, 2N] with N^2+k+1 and (N+1)^2-k simultaneously prime."""
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    return _legendre_chunk((N, N))[0][1]
+    return legendre_series(N, N)[0][1]
 
 
 def legendre_holds(N: int) -> bool:
@@ -415,6 +413,8 @@ def _legendre_chunk(args):
 def legendre_series(n_hi: int, n_lo: int = 2, workers: int = 1):
     """(N, qualifying-k count) for N = n_lo..n_hi via a segmented sieve; 256 N
     per job, whatever the worker count, bounds each job's sieve window."""
+    if n_lo < 2:
+        raise ValueError("N must be >= 2")
     jobs = [(lo, min(lo + 255, n_hi)) for lo in range(n_lo, n_hi + 1, 256)]
     return _pool_map(_legendre_chunk, jobs, workers)
 

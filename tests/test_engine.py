@@ -324,6 +324,21 @@ def test_first_zeros_defaults_and_empty():
     assert engine.first_zeros((ShiftedIndex(), k) for k in (0, 5)) == [1, 5]
 
 
+@pytest.mark.parametrize(
+    "runs",
+    [
+        pytest.param([(GoldbachAlt(N=10), -5)], id="lone"),
+        pytest.param([(GoldbachAlt(N=10), -5), (GoldbachAlt(N=11), -3), (GoldbachAlt(N=12), 4)], id="lanes"),
+        pytest.param([(GoldbachAlt(N=10), 4), (GoldbachAlt(N=10), -5)], id="memo"),
+    ],
+)
+def test_first_zeros_rejects_a_negative_initial(runs):
+    # the first zero is sought from start_index onwards, so no lane may
+    # report one before it
+    with pytest.raises(ValueError, match="initial must be >= 0"):
+        engine.first_zeros(runs)
+
+
 def test_first_zeros_without_a_zero_is_an_invariant_error(monkeypatch):
     monkeypatch.setattr(engine, "run", lambda config, memo: engine.Trace())
     with pytest.raises(engine.EngineInvariantError, match="alt-linear from 7"):
@@ -758,12 +773,10 @@ def test_large_value_runs_equal_naive(family, initial, start, budget):
     assert_backward_matches_naive(initial, spec, budget, engine.ABS_BACKWARD, start, None, g_of)
 
 
-_P21 = 2097169  # a prime of 22 bits: its plateaus are tested for _SCAN_MIN indices
-_P65 = 18446744073709551629  # a prime of 65 bits: for 2^(65 // 4 - _SCAN_SHIFT)
-
-
-def _scan_bound(q):
-    return max(engine._SCAN_MIN, 1 << (q.bit_length() // 4 - engine._SCAN_SHIFT))
+_P65 = 18446744073709551629  # a prime of 65 bits
+# prime -> the indices the gcd test covers on its plateaus, 2^(bits/4 - 3):
+# primes of 22, 41 and 65 bits
+_SCAN_WINDOWS = {2097169: 4, 1099511627791: 128, _P65: 8192}
 
 
 @pytest.fixture
@@ -779,22 +792,22 @@ def factor_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("q", [_P21, _P65])
+@pytest.mark.parametrize("q", list(_SCAN_WINDOWS))
 @pytest.mark.parametrize("past_scan", [0, 1])
 def test_event_at_the_scan_bound(factor_calls, q, past_scan):
     # g = q on every index, so the only event is at i = x (mod q), put at the
     # last index the gcd test covers, or the first one after it
-    n, w = 1000, _scan_bound(q)
+    n, w = 1000, _SCAN_WINDOWS[q]
     x = n + w + past_scan + q
     assert engine._next_event(n, x, x - 2, 1, [[q]]) == (n + w + past_scan, q)
     assert factor_calls == [q] * past_scan
 
 
-@pytest.mark.parametrize("q", [_P21, _P65])
+@pytest.mark.parametrize("q", list(_SCAN_WINDOWS))
 @pytest.mark.parametrize("past_scan", [0, 1])
 def test_plateau_as_long_as_the_scan_bound(factor_calls, q, past_scan):
     # no event on (n, hi]: a plateau the gcd test covers ends without factoring
-    n, w = 1000, _scan_bound(q)
+    n, w = 1000, _SCAN_WINDOWS[q]
     hi = n + w + past_scan
     assert engine._next_event(n, hi + q + 1, hi, 1, [[q]]) is None
     assert factor_calls == [q] * past_scan

@@ -239,6 +239,12 @@ def test_legendre_count_examples():
     assert all(legendre_holds(N) for N in range(175, 400))
 
 
+@pytest.mark.parametrize("n_lo", [0, 1])
+def test_legendre_series_below_two_is_rejected(n_lo):
+    with pytest.raises(ValueError, match="N must be >= 2"):
+        legendre_series(10, n_lo)
+
+
 def test_legendre_series_workers_agree():
     assert legendre_series(500, workers=3) == legendre_series(500)
 
