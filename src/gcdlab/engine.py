@@ -40,14 +40,15 @@ Descents of different g share nothing, so first_zeros moves them side by
 side on the lane path: up to _LANES runs at a time as numpy arrays of (n, a,
 beta, coefficients), one pass moving each by one event.  A pass takes the
 class values by Horner in int64, their distinct primes from the SPF table
-and each prime's candidate index by _next_event's rules.  After each pass
-the lanes that left are refilled with the next runs in one batch, so the
-passes stay full until the runs run out; each zero is written out as its
-lane leaves, so the lane path's memory does not grow with the number of
-runs.  A lane whose class values reach 2^20 finishes on the scalar path
-from its current state, and so does the last lane once no run is left; runs
-whose values could leave int64, and a call's lone lane run, take the scalar
-path throughout, the latter without importing numpy.
+and each prime's candidate index by _next_event's rules.  A lane leaves in
+one place, at the start of a pass: at its zero, which is written out, or
+once its class values reach 2^20, to finish on the scalar path from its
+current state.  Until then its spec waits in its slot of the output.  After
+each pass the lanes that left are refilled with the next runs in one batch,
+so the passes stay full until the runs run out, and the lane path's memory
+does not grow with the number of runs.  Runs whose values could leave
+int64, and a call's lone lane run, take the scalar path throughout, the
+latter without importing numpy.
 The zeros, and so every output, are the scalar path's.
 
 The factorizations are done in-house: values below 2^20 are read off
@@ -88,8 +89,8 @@ _RHO_BATCH = 128
 # lanes are refilled in one batch after every pass.  Peak RSS of `stats
 # goldbach-constant --n-hi 20000` through the CLI (2 shared cores, 3 runs
 # each): 35.0-35.1 MB at 2048 lanes, 37.7 MB at 4096, against 35.1-35.2 MB
-# for 4096 lanes refilled 256 runs at a time.  4096 takes 215 numpy passes
-# against 272 at 2048; wall time stayed within the host's noise.
+# for 4096 lanes refilled 256 runs at a time.  4096 takes 295 numpy passes
+# against 340 at 2048; wall time stayed within the host's noise.
 _LANES = 2048
 
 
@@ -205,18 +206,16 @@ def _brent_split(n: int) -> int:
 
 @lru_cache(maxsize=65536)
 def _prime_factors(q: int) -> tuple:
-    """Distinct prime factors of q >= 2, in increasing order.
+    """Distinct prime factors of q >= 1, in increasing order.
 
-    Below _SPF_LIMIT they are read off the SPF table.  Above it, a stack of
-    cofactors starts from q itself: each one below _SPF_LIMIT goes to the SPF
-    table, each one that `primality.is_prime` accepts is a factor, and any
-    other, even or odd, is split by Brent's rho.  `is_prime` is exact below
-    DETERMINISTIC_BOUND; a cofactor at or above it is a probable prime under
-    DEFAULT_POLICY, with error at most 4**-40 (sympy's BPSW test, used here
-    before, was not proven in that range either).
+    A stack of cofactors starts from q itself: each one below _SPF_LIMIT,
+    1 included, is read off the SPF table, each one that `primality.is_prime`
+    accepts is a factor, and any other, even or odd, is split by Brent's rho.
+    `is_prime` is exact below DETERMINISTIC_BOUND; a cofactor at or above it
+    is a probable prime under DEFAULT_POLICY, with error at most 4**-40
+    (sympy's BPSW test, used here before, was not proven in that range
+    either).
     """
-    if q < _SPF_LIMIT:
-        return tuple(_spf_factors(q))
     found = set()
     stack = [q]
     while stack:
@@ -257,8 +256,6 @@ def _next_event(n: int, x: int, hi: int, sel, polys) -> tuple | None:
         n = end
     best, value = hi + 1, None
     for k, q in enumerate(qs):
-        if q == 1:
-            continue
         for p in _prime_factors(q) if q else (1,):
             i = n + 1 + (x - n - 1) % p
             if beta:
@@ -394,8 +391,8 @@ def first_zeros(runs, start_index: int = 1) -> list:
 
 
 def _lane_runs(runs, start_index: int, out: list):
-    """Yield (position in out, spec, initial, form) for each run that goes to
-    the lane path, holding its place in out with None; append every other
+    """Yield (position in out, initial, form) for each run that goes to the
+    lane path, holding its place in out with its spec; append every other
     run's zero to out, by the memo path, as the runs are consumed.  Runs are
     grouped into stretches of consecutive equal specs: a stretch of one run
     is a lane candidate, a longer one shares one memo."""
@@ -405,8 +402,8 @@ def _lane_runs(runs, start_index: int, out: list):
         beta, polys = form = spec.residue_polys()
         x_max = abs(start_index) + 1 + initial  # bounds |x| over the descent
         if len(head) == 1 and initial > 0 and isinstance(beta, int) and _fits_int64(polys, x_max):
-            out.append(None)
-            yield len(out) - 1, spec, initial, form
+            out.append(spec)
+            yield len(out) - 1, initial, form
         else:
             memo = {}
             out += (_first_zero(spec, k, start_index, memo) for _, k in chain(head, stretch))
@@ -432,26 +429,24 @@ def _fits_int64(polys, x_max: int) -> bool:
 
 
 def _lane_zeros(lane_runs, start_index: int, out: list) -> None:
-    """Write the first zero of each (position, spec, initial, form) that
-    lane_runs yields to out[position], as its lane leaves.  Up to _LANES
-    lanes descend at a time, one numpy pass moving each by one event as run
-    steps; after each pass the lanes that left are refilled from lane_runs
-    in one batch, and a batch that comes back short leaves lane_runs empty.
-    A lane whose class values reach _SPF_LIMIT finishes on run, and so does
-    the last lane once lane_runs is empty.  A first fill of fewer than two
-    runs finishes on run before numpy is imported."""
+    """Write the first zero of each (position, initial, form) that lane_runs
+    yields to out[position], which holds the run's spec until then.  Up to
+    _LANES lanes descend at a time, one numpy pass moving each by one event
+    as run steps; after each pass the lanes that left are refilled from
+    lane_runs in one batch.  A lane leaves at the next pass's start: at its
+    zero, or on run from its current state once its class values reach
+    _SPF_LIMIT.  A first fill of fewer than two runs finishes on run before
+    numpy is imported."""
     new = list(islice(lane_runs, _LANES))
     if len(new) < 2:
-        for at, spec, initial, _ in new:
-            out[at] = _first_zero(spec, initial, start_index, None)
+        for at, initial, _ in new:
+            out[at] = _first_zero(out[at], initial, start_index, None)
         return
     import numpy as np
 
-    empty = len(new) < _LANES  # lane_runs has no run left
     position = n = a = beta = np.zeros(0, dtype=np.int64)
-    spec = np.zeros(0, dtype=object)
     coeffs = np.zeros((0, 1, 1), dtype=np.int64)
-    while True:
+    while new or len(n):
         if new:
             forms = [form for *_, form in new]
             width = max(coeffs.shape[1], *(b for b, _ in forms))
@@ -463,22 +458,18 @@ def _lane_zeros(lane_runs, start_index: int, out: list) -> None:
             coeffs[: len(n), : old.shape[1], : old.shape[2]] = old
             pad = [[1] + [0] * (length - 1)]
             coeffs[len(n) :] = [[p + [0] * (length - len(p)) for p in polys] + pad * (width - b) for b, polys in forms]
-            fresh = np.array([(at, start_index, k, b) for at, _, k, (b, _) in new], dtype=np.int64)
+            fresh = np.array([(at, start_index, k, b) for at, k, (b, _) in new], dtype=np.int64)
             position, n, a, beta = (np.concatenate(pair) for pair in zip((position, n, a, beta), fresh.T))
-            spec = np.concatenate((spec, np.fromiter((s for _, s, *_ in new), dtype=object, count=len(new))))
         x = n + 1 + a
         q = coeffs[:, :, -1]
         for j in range(coeffs.shape[2] - 2, -1, -1):
             q = q * x[:, None] + coeffs[:, :, j]
         q = np.abs(q)
-        off = (q >= _SPF_LIMIT).any(axis=1) | (empty and len(n) == 1)
-        if off.any():
-            for at, s, m, k in zip(position[off].tolist(), spec[off], n[off].tolist(), a[off].tolist()):
-                out[at] = _first_zero(s, k, m, None)
-            keep = ~off
-            position, spec, n, x, q, coeffs, beta = (v[keep] for v in (position, spec, n, x, q, coeffs, beta))
-        if empty and not len(n):
-            break
+        leave = (a == 0) | (q >= _SPF_LIMIT).any(axis=1)
+        for at, m, k in zip(position[leave].tolist(), n[leave].tolist(), a[leave].tolist()):
+            out[at] = _first_zero(out[at], k, m, None) if k else m
+        keep = ~leave
+        position, n, a, x, q, coeffs, beta = (v[keep] for v in (position, n, a, x, q, coeffs, beta))
         i, value = _next_events(n, x, q, beta)
         prev = x - i
         g = np.gcd(prev, value)
@@ -486,13 +477,7 @@ def _lane_zeros(lane_runs, start_index: int, out: list) -> None:
         if unit.any():
             raise EngineInvariantError(f"event detection found a unit step at n={i[unit][0]}")
         n, a = i, prev - g
-        done = a == 0
-        for at, z in zip(position[done].tolist(), n[done].tolist()):
-            out[at] = z
-        keep = ~done
-        position, spec, n, a, coeffs, beta = (v[keep] for v in (position, spec, n, a, coeffs, beta))
-        new = [] if empty else list(islice(lane_runs, _LANES - len(n)))
-        empty = empty or len(new) < _LANES - len(n)
+        new = list(islice(lane_runs, _LANES - np.count_nonzero(a)))
 
 
 def _next_events(n, x, q, beta):

@@ -316,7 +316,7 @@ def test_equal_specs_apart_take_lanes(monkeypatch):
 
     monkeypatch.setattr(engine, "_lane_zeros", spy)
     assert engine.first_zeros(runs) == [naive_first_zero(s, k, 1) for s, k in runs]
-    assert [(at, k) for at, _, k, _ in lane_runs] == [(0, 40), (1, 40), (2, 50)]
+    assert [(at, k) for at, k, _ in lane_runs] == [(0, 40), (1, 40), (2, 50)]
 
 
 def test_first_zeros_defaults_and_empty():
@@ -438,13 +438,24 @@ def test_refills_widen_the_lanes(monkeypatch, lanes):
     assert engine.first_zeros(runs) == [naive_first_zero(spec, k, 1) for spec, k in runs]
 
 
-def test_the_last_lane_finishes_on_run(hand_offs):
+def test_the_last_lane_stays_on_the_lanes(hand_offs):
     # the short descent ends first; the long one, alone once the runs are
-    # all taken, finishes on run from the state it reached
+    # all taken, keeps its lane to its zero
     runs = [(AffineMinus(m=1), 3), (AffineMinus(m=3), 2000)]
     assert engine.first_zeros(runs) == [naive_first_zero(spec, k, 1) for spec, k in runs]
-    ((n, a),) = hand_offs
-    assert 1 < n and 0 < a < 2000
+    assert hand_offs == []
+
+
+def test_every_lane_leaving_in_one_pass_takes_the_next_runs(hand_offs, monkeypatch):
+    # with 2 lanes: two descents from 1 reach 0 in their first pass, the two
+    # runs that refill them start above 2^20 and go to run at once, so the
+    # next pass has no lane left while three runs still wait
+    monkeypatch.setattr(engine, "_LANES", 2)
+    runs = [(AffineMinus(m=1), 1), (AffineMinus(m=2), 1)]
+    runs += [(Polynomial(coeffs=(c + 2**21, 1)), 5) for c in (0, 1)]
+    runs += [(AffineMinus(m=m), 40) for m in (3, 4, 5)]
+    assert engine.first_zeros(runs) == [naive_first_zero(spec, k, 1) for spec, k in runs]
+    assert hand_offs == [(1, 5), (1, 5)]
 
 
 def lane_transient_bytes(count):

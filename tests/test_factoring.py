@@ -137,7 +137,7 @@ def _carmichael_chernick(k_from):
 
 
 def _hard_cases():
-    cases = []
+    cases = [1, 2]  # _next_event passes every nonzero class value, 1 too
     for p in (4099, 65537, 1048583, 2**31 - 1):  # prime powers with p > 4096
         cases += [p**2, p**3]
     top = sympy.prevprime(2**27)
