@@ -46,9 +46,11 @@ once its class values reach 2^20, to finish on the scalar path from its
 current state.  Until then its spec waits in its slot of the output.  After
 each pass the lanes that left are refilled with the next runs in one batch,
 so the passes stay full until the runs run out, and the lane path's memory
-does not grow with the number of runs.  Runs whose values could leave
-int64, and a call's lone lane run, take the scalar path throughout, the
-latter without importing numpy.
+does not grow with the number of runs.  A batch's int64 bound is taken once
+for the batch, as it is filled: runs whose values could leave int64 take the
+scalar path throughout, as does a call's lone lane run, without importing
+numpy.  These runs, and every run of the memo path, get their stretch's form,
+so run does not derive it again.
 The zeros, and so every output, are the scalar path's.
 
 The factorizations are done in-house: values below 2^20 are read off
@@ -65,7 +67,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import chain, cycle, groupby, islice
+from itertools import chain, compress, cycle, groupby, islice
 from math import gcd
 from operator import itemgetter
 
@@ -273,9 +275,11 @@ def _next_event(n: int, x: int, hi: int, sel, polys) -> tuple | None:
     return (best, value) if best <= hi else None
 
 
-def run(config: RunConfig, *, memo: dict | None = None) -> Trace:
+def run(config: RunConfig, *, memo: dict | None = None, form=None) -> Trace:
     """Execute the recursion described by config and return its event trace.
 
+    form is config.arg.residue_polys(), which run derives when it is not
+    given; first_zeros gives each run the form its stretch already holds.
     memo, which only first_zeros passes, maps the states (n, a != 0) that
     backward descents of config.arg from config.start_index reached just
     after an event to the first zero reached from there.  A run that reaches
@@ -289,7 +293,7 @@ def run(config: RunConfig, *, memo: dict | None = None) -> Trace:
     if not forward and want is not None and config.initial == 0:
         raise NonterminatingZeroRequest("zero requested but the run starts at zero")
     trace = Trace(forward_steps=[] if forward else None)
-    sel, polys = form = config.arg.residue_polys()
+    sel, polys = form = form or config.arg.residue_polys()
     step = 1 if forward else -1
     a, n = config.initial, config.start_index
     limit = n + config.budget
@@ -394,38 +398,33 @@ def _lane_runs(runs, start_index: int, out: list):
     """Yield (position in out, initial, form) for each run that goes to the
     lane path, holding its place in out with its spec; append every other
     run's zero to out, by the memo path, as the runs are consumed.  Runs are
-    grouped into stretches of consecutive equal specs: a stretch of one run
-    is a lane candidate, a longer one shares one memo."""
+    grouped into stretches of consecutive equal specs, each with one form: a
+    stretch of one run with an int period is a lane candidate, a longer one
+    shares one memo and hands its form to each run."""
     for spec, stretch in groupby(runs, key=itemgetter(0)):
         head = list(islice(stretch, 2))
         _, initial = head[0]
-        beta, polys = form = spec.residue_polys()
-        x_max = abs(start_index) + 1 + initial  # bounds |x| over the descent
-        if len(head) == 1 and initial > 0 and isinstance(beta, int) and _fits_int64(polys, x_max):
+        form = spec.residue_polys()
+        if len(head) == 1 and initial > 0 and isinstance(form[0], int):
             out.append(spec)
             yield len(out) - 1, initial, form
         else:
             memo = {}
-            out += (_first_zero(spec, k, start_index, memo) for _, k in chain(head, stretch))
+            out += (_first_zero(spec, k, start_index, memo, form) for _, k in chain(head, stretch))
 
 
-def _first_zero(spec, initial: int, start_index: int, memo: dict | None) -> int:
-    """first_zeros's answer for one run, by run."""
+def _first_zero(spec, initial: int, start_index: int, memo: dict | None, form) -> int:
+    """first_zeros's answer for one run, by run, given the spec's form, or
+    None for run to derive it."""
     if not initial:
         return start_index
     # the guard as budget, so DEFAULT_BUDGET does not cap it
     guard = initial + 1
     config = RunConfig(initial, spec, SIGNED_BACKWARD, start_index, stop_after_zeros=1, budget=guard)
-    zs = run(config, memo=memo).zero_indices
+    zs = run(config, memo=memo, form=form).zero_indices
     if not zs:
         raise EngineInvariantError(f"the descent of {spec.spec_str()} from {initial} found no zero")
     return zs[0]
-
-
-def _fits_int64(polys, x_max: int) -> bool:
-    """Whether every Horner partial sum of every class value is below 2^63
-    in absolute value wherever |x| <= x_max."""
-    return all(poly_eval([abs(c) for c in p], x_max) < 1 << 63 for p in polys)
 
 
 def _lane_zeros(lane_runs, start_index: int, out: list) -> None:
@@ -433,14 +432,15 @@ def _lane_zeros(lane_runs, start_index: int, out: list) -> None:
     yields to out[position], which holds the run's spec until then.  Up to
     _LANES lanes descend at a time, one numpy pass moving each by one event
     as run steps; after each pass the lanes that left are refilled from
-    lane_runs in one batch.  A lane leaves at the next pass's start: at its
+    lane_runs in one batch, whose runs go to run at once where their Horner
+    values could leave int64.  A lane leaves at the next pass's start: at its
     zero, or on run from its current state once its class values reach
     _SPF_LIMIT.  A first fill of fewer than two runs finishes on run before
     numpy is imported."""
     new = list(islice(lane_runs, _LANES))
     if len(new) < 2:
-        for at, initial, _ in new:
-            out[at] = _first_zero(out[at], initial, start_index, None)
+        for at, initial, form in new:
+            out[at] = _first_zero(out[at], initial, start_index, None, form)
         return
     import numpy as np
 
@@ -448,18 +448,39 @@ def _lane_zeros(lane_runs, start_index: int, out: list) -> None:
     coeffs = np.zeros((0, 1, 1), dtype=np.int64)
     while new or len(n):
         if new:
-            forms = [form for *_, form in new]
+            ats, ks, forms = zip(*new)
             width = max(coeffs.shape[1], *(b for b, _ in forms))
             length = max(coeffs.shape[2], *(len(p) for _, polys in forms for p in polys))
             # classes past a lane's period hold the constant 1, which has no
             # prime; a wider period or higher degree grows the array
-            old, coeffs = coeffs, np.zeros((len(n) + len(new), width, length), dtype=np.int64)
-            coeffs[:, :, 0] = 1
-            coeffs[: len(n), : old.shape[1], : old.shape[2]] = old
-            pad = [[1] + [0] * (length - 1)]
-            coeffs[len(n) :] = [[p + [0] * (length - len(p)) for p in polys] + pad * (width - b) for b, polys in forms]
-            fresh = np.array([(at, start_index, k, b) for at, k, (b, _) in new], dtype=np.int64)
-            position, n, a, beta = (np.concatenate(pair) for pair in zip((position, n, a, beta), fresh.T))
+            if coeffs.shape[1:] != (width, length):
+                old, coeffs = coeffs, np.zeros((len(n), width, length), dtype=np.int64)
+                coeffs[:, :, 0] = 1
+                coeffs[:, : old.shape[1], : old.shape[2]] = old
+            zeros = [0] * length
+            pad = [1] + zeros[1:]
+            flat = []
+            for b, polys in forms:
+                for p in polys:
+                    flat += p
+                    flat += zeros[len(p) :]
+                flat += pad * (width - b)
+            block = np.array(flat, dtype=object).reshape(len(new), width, length)
+            # every Horner partial sum of a class value where |x| <= x_max is
+            # at most the Horner value of |c| at x_max, taken in Python ints;
+            # a run where that reaches 2^63 descends on run instead
+            x_max = np.array(ks, dtype=object)[:, None] + (abs(start_index) + 1)
+            bound = 0
+            for j in range(length - 1, -1, -1):
+                bound = bound * x_max + np.abs(block[:, :, j])
+            fits = (bound < 1 << 63).all(axis=1).astype(bool)
+            for at, k, form in compress(new, ~fits):
+                out[at] = _first_zero(out[at], k, start_index, None, form)
+            coeffs = np.concatenate((coeffs, block[fits].astype(np.int64)))
+            fresh = ats, (start_index,) * len(new), ks, [b for b, _ in forms]
+            position, n, a, beta = (
+                np.concatenate((v, np.array(w, dtype=np.int64)[fits])) for v, w in zip((position, n, a, beta), fresh)
+            )
         x = n + 1 + a
         q = coeffs[:, :, -1]
         for j in range(coeffs.shape[2] - 2, -1, -1):
@@ -467,7 +488,7 @@ def _lane_zeros(lane_runs, start_index: int, out: list) -> None:
         q = np.abs(q)
         leave = (a == 0) | (q >= _SPF_LIMIT).any(axis=1)
         for at, m, k in zip(position[leave].tolist(), n[leave].tolist(), a[leave].tolist()):
-            out[at] = _first_zero(out[at], k, m, None) if k else m
+            out[at] = _first_zero(out[at], k, m, None, None) if k else m
         keep = ~leave
         position, n, a, x, q, coeffs, beta = (v[keep] for v in (position, n, a, x, q, coeffs, beta))
         i, value = _next_events(n, x, q, beta)

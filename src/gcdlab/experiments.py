@@ -6,7 +6,8 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
+from operator import itemgetter
 
 from . import engine, primality
 from .engine import RunConfig
@@ -112,7 +113,25 @@ def _first_zero_report(name: str, spec_of, first: int, n_hi, rows, policy) -> Ex
     stop = first + (rows or 20) if n_hi is None else int(n_hi) + 1
     runs = [(spec_of(n), n - 2) for n in range(first, stop)[: rows or None]]
     fs = engine.first_zeros(runs)
-    return ExperimentReport(name, [_claim_row(f, spec.claim_values(f), policy) for (spec, _), f in zip(runs, fs)])
+    row = lambda spec, f: _claim_row(f, spec.claim_values(f), policy)
+    return ExperimentReport(name, _per_distinct_zero(row, ((spec, f) for (spec, _), f in zip(runs, fs))))
+
+
+def _per_distinct_zero(check, pairs) -> list:
+    """check(spec, z) for each (spec, z) in pairs, made once per distinct z
+    in each stretch of equal specs.  A claim depends on the spec and the zero
+    alone, and the descents of one g mostly end at zeros that other descents
+    reached.  Two specs that reach one zero claim different values
+    (GoldbachAlt(N) claims z + 1 and 2N - z - 1), so each stretch keeps its
+    own answers."""
+    out = []
+    for spec, stretch in groupby(pairs, key=itemgetter(0)):
+        seen = {}
+        for _, z in stretch:
+            if z not in seen:
+                seen[z] = check(spec, z)
+            out.append(seen[z])
+    return out
 
 
 _C8_SPECS = {"prime": ShiftedIndex(), "twin": AlternatingLinear()}
@@ -241,12 +260,18 @@ def _pool_map(fn, jobs: list, workers: int) -> list:
     return [x for part in parts for x in part]
 
 
+def _all_prime_at(pairs, policy) -> list:
+    """all_prime of spec's claim at z for each (spec, z) in pairs, checked
+    once per distinct zero of each stretch (see _per_distinct_zero)."""
+    return _per_distinct_zero(lambda spec, z: primality.all_prime(spec.claim_values(z), policy), pairs)
+
+
 def _claims_hold(job) -> list:
     """The pool worker: all_prime of each run's claim at its first zero, for
     job = (runs, start_index, policy) with runs as engine.first_zeros takes."""
     runs, start_index, policy = job
     zs = engine.first_zeros(runs, start_index)
-    return [primality.all_prime(spec.claim_values(z), policy) for (spec, _), z in zip(runs, zs)]
+    return _all_prime_at(((spec, z) for (spec, _), z in zip(runs, zs)), policy)
 
 
 def _claims_hold_map(runs: list, workers: int, policy, start_index: int = 1) -> list:
@@ -353,11 +378,12 @@ def upsilon_twin(n_hi: int, workers: int = 1, policy=primality.DEFAULT_POLICY):
 def v_sequence(count: int, policy=primality.DEFAULT_POLICY):
     """First `count` N with 2N^2 - 1 and 2N^2 + 1 both prime (the alt-quad
     claim at index N - 1)."""
+    spec = AlternatingQuad()
     out = []
     n = 0
     while len(out) < count:
         n += 1
-        if primality.all_prime(AlternatingQuad().claim_values(n - 1), policy):
+        if primality.all_prime(spec.claim_values(n - 1), policy):
             out.append(n)
     return out
 
@@ -443,5 +469,5 @@ def conj7_f_and_L(spec, n_hi: int, policy=primality.DEFAULT_POLICY):
     if isinstance(spec, str):
         spec = parse_spec(spec)
     fs = engine.first_zeros((spec, k) for k in range(1, n_hi + 1))
-    hits = sum(primality.all_prime(spec.claim_values(f), policy) for f in fs)
+    hits = sum(_all_prime_at(((spec, f) for f in fs), policy))
     return list(enumerate(fs, start=1)), hits / len(fs) if fs else 0.0

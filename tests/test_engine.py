@@ -293,14 +293,32 @@ def test_equal_specs_share_one_memo(monkeypatch):
     expected = [plain_first_zero(spec, k, 1) for _, k in runs]
     memos, first_zero = [], engine._first_zero
 
-    def spy(spec, initial, start_index, memo):
+    def spy(spec, initial, start_index, memo, form):
         memos.append(memo)
-        return first_zero(spec, initial, start_index, memo)
+        return first_zero(spec, initial, start_index, memo, form)
 
     monkeypatch.setattr(engine, "_first_zero", spy)
     assert engine.first_zeros(runs) == expected
     assert len(memos) == len(runs) and memos[0] is not None
     assert all(memo is memos[0] for memo in memos)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.spec_str())
+@pytest.mark.parametrize("mode", (engine.ABS_BACKWARD, engine.SIGNED_BACKWARD, engine.FORWARD_ADD))
+def test_a_run_given_its_form_equals_one_that_derives_it(spec, mode):
+    config = RunConfig(60, spec, mode, budget=3000)
+    assert engine.run(config, form=spec.residue_polys()) == engine.run(config)
+
+
+def test_a_memo_stretch_derives_its_form_once(monkeypatch):
+    # _lane_runs derives each stretch's form and hands it to every run of it
+    spec = PeriodicAffine(m=1, offsets=(2, 6, 0))
+    runs = [(spec, N - 6) for N in range(8, 400)]
+    expected = [plain_first_zero(spec, k, 1) for _, k in runs]
+    calls, derive = [], PeriodicAffine.residue_polys
+    monkeypatch.setattr(PeriodicAffine, "residue_polys", lambda self: calls.append(self) or derive(self))
+    assert engine.first_zeros(runs) == expected
+    assert calls == [spec]
 
 
 def test_equal_specs_apart_take_lanes(monkeypatch):
@@ -340,7 +358,7 @@ def test_first_zeros_rejects_a_negative_initial(runs):
 
 
 def test_first_zeros_without_a_zero_is_an_invariant_error(monkeypatch):
-    monkeypatch.setattr(engine, "run", lambda config, memo: engine.Trace())
+    monkeypatch.setattr(engine, "run", lambda config, memo, form: engine.Trace())
     with pytest.raises(engine.EngineInvariantError, match="alt-linear from 7"):
         engine.first_zeros([(AlternatingLinear(), 7)])
 
@@ -388,9 +406,9 @@ def hand_offs(monkeypatch):
     """The states from which runs go to _first_zero, the scalar path."""
     states, first_zero = [], engine._first_zero
 
-    def spy(spec, initial, start_index, memo):
+    def spy(spec, initial, start_index, memo, form):
         states.append((start_index, initial))
-        return first_zero(spec, initial, start_index, memo)
+        return first_zero(spec, initial, start_index, memo, form)
 
     monkeypatch.setattr(engine, "_first_zero", spy)
     return states
@@ -414,8 +432,14 @@ def test_lanes_whose_horner_values_could_leave_int64_run_scalar(hand_offs):
     # 2^40 x^2 = 2^64 at x = 2^12, which int64 Horner would wrap to the
     # constant term alone; neighbouring runs differ in c, so none shares a memo
     runs = [(Polynomial(coeffs=(c, 0, 1 << 40)), 4094 + d) for d in (-1, 0, 1) for c in (15, 21, 105, 1155)]
+    # from a(1) = 8, x = n + 1 + a falls from 10: this g is below 2^63 at
+    # x = 9 and 2^64 - 3 at x = 10, which int64 would wrap to -3, so only
+    # the largest x leaves int64; and a coefficient of 2^63 fits no int64
+    runs += [(Polynomial(coeffs=(9551613, 0, 0, 0, 0, 0, 0, 1844674407370)), 8), (Polynomial(coeffs=(1 << 63, 1)), 5)]
     assert engine.first_zeros(runs) == [naive_first_zero(spec, k, 1) for spec, k in runs]
     assert len(hand_offs) == len(runs)
+    # each goes to run from its first state, without a pass on the lanes
+    assert hand_offs == [(1, k) for _, k in runs]
 
 
 def test_lane_event_invariant_raises(monkeypatch):

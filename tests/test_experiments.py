@@ -1,7 +1,9 @@
 """Experiment harness: tables, scans, property suites, statistical series."""
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gcdlab import experiments, primality
+from gcdlab import engine, experiments, primality
 from gcdlab.experiments import (
     claims_report,
     conj7_f_and_L,
@@ -19,7 +21,16 @@ from gcdlab.experiments import (
     upsilon_v,
     v_sequence,
 )
-from gcdlab.generators import AffineMinus
+from gcdlab.generators import (
+    AffineMinus,
+    AlternatingLinear,
+    AlternatingQuad,
+    BeattyTwin,
+    GoldbachAlt,
+    GoldbachProduct,
+    PeriodicAffine,
+    TripletProduct,
+)
 
 
 def test_claims_report_shape():
@@ -161,6 +172,56 @@ def test_results_do_not_depend_on_the_worker_count(name):
     one = run(1)
     assert run(2) == one
     assert run(3) == one
+
+
+def test_a_scan_checks_each_distinct_claim_once_per_job(monkeypatch):
+    # a verdict depends on the spec and the zero alone, and the runs of one
+    # g mostly end at zeros that other runs reached
+    jobs, checks = [], []
+    first_zeros, all_prime = engine.first_zeros, primality.all_prime
+
+    def zeros_spy(runs, start_index=1):
+        zs = first_zeros(runs, start_index)
+        jobs.append({(spec, z) for (spec, _), z in zip(runs, zs)})
+        return zs
+
+    monkeypatch.setattr(engine, "first_zeros", zeros_spy)
+    monkeypatch.setattr(primality, "all_prime", lambda values, policy: checks.append(values) or all_prime(values, policy))
+    assert scan_threshold("triplet", 3000).largest_failure == 2734
+    assert len(checks) == sum(map(len, jobs)) < 2995 / 10
+
+
+# every spec a scan or an upsilon series descends, and Goldbach specs of
+# small N, whose runs reach one zero from many initials and whose claims
+# keep a repeated summand (N = 7 claims [7, 7])
+CLAIM_POOL = [AlternatingLinear(), TripletProduct(), PeriodicAffine(m=1, offsets=(2, 6, 0)), BeattyTwin()]
+CLAIM_POOL += [AlternatingQuad()] + [GoldbachProduct(N=N) for N in range(3, 13)]
+CLAIM_POOL += [GoldbachAlt(N=N, flip=flip) for N in range(3, 13) for flip in (False, True)]
+
+
+@given(
+    stretches=st.lists(
+        st.tuples(st.sampled_from(CLAIM_POOL), st.lists(st.integers(0, 60), min_size=1, max_size=6)),
+        min_size=1,
+        max_size=12,
+    ),
+    start=st.sampled_from((0, 1)),
+)
+@example(stretches=[(GoldbachAlt(N=7), [5, 6]), (GoldbachProduct(N=7), [6, 8])], start=1)
+@settings(max_examples=200, deadline=None)
+def test_verdicts_once_per_distinct_zero_equal_verdicts_per_run(stretches, start):
+    runs = [(spec, k) for spec, initials in stretches for k in initials]
+    zs = engine.first_zeros(runs, start)
+    per_run = [primality.all_prime(spec.claim_values(z)) for (spec, _), z in zip(runs, zs)]
+    assert experiments._claims_hold((runs, start, primality.DEFAULT_POLICY)) == per_run
+
+
+def test_goldbach_runs_that_reach_one_zero_keep_their_own_verdicts():
+    # from N - 3, N = 28 and N = 31 both reach 12, where they claim (13, 43)
+    # and (13, 49): the zero alone does not decide the verdict
+    runs = [(GoldbachAlt(N=28, flip=True), 25), (GoldbachAlt(N=31, flip=True), 28)]
+    assert engine.first_zeros(runs) == [12, 12]
+    assert experiments._claims_hold((runs, 1, primality.DEFAULT_POLICY)) == [1, 0]
 
 
 def test_scan_unknown_family():
