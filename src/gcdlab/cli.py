@@ -12,17 +12,22 @@ The Beatty digit is exact for indices |n| < 10^25, far beyond any budget.
 Exit codes: 0 success, 2 argument error, 3 budget exhausted (partial output
 is still emitted, flagged in the metadata).  A reader that closes stdout
 early ends the output quietly, with exit 0.
+
+A command loads only the layers it runs (`run` and `zeros` load neither
+experiments nor records), and only the command that runs gets its
+arguments, whose choices are read from those layers.  Each command is a
+fresh process, so all it imports is start-up time, and where
+PYTHONDONTWRITEBYTECODE is set each module is compiled from source at every
+launch.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from fractions import Fraction
 from itertools import chain, islice
 
-from . import engine, experiments, generators, primality, records
+from . import engine, generators, primality
 from .engine import RunConfig
 from .generators import SpecParseError, parse_spec
 
@@ -55,7 +60,9 @@ def positive_int(text: str) -> int:
     return value
 
 
-def fraction(text: str) -> Fraction:
+def fraction(text: str):
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except ZeroDivisionError:  # argparse names the flag for a ValueError only
@@ -94,64 +101,90 @@ def _add_flags(p: argparse.ArgumentParser, command, *names: str) -> None:
         p.add_argument(f"--{name}", **_FLAGS[name])
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(prog="gcdlab", description=__doc__)
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command, which gives arguments only to `command`,
+    or to every command where it is None.  The others are named with their
+    help alone, so --help and a misspelt command read the same either way."""
+    # the docstring's last paragraph is for readers of the code (and under
+    # python -OO there is no docstring)
+    ap = _Parser(prog="gcdlab", description=__doc__ and __doc__.rsplit("\n\n", 1)[0])
     sub = ap.add_subparsers(dest="cmd", required=True)
+    given = {}
+    for name, text in (
+        ("run", "run a recursion and print its event trace"),
+        ("zeros", "first zero indices of a recursion"),
+        ("table", "reproduce a reference table"),
+        ("scan", "threshold scan over starting values"),
+        ("predict", "record-jump prediction"),
+        ("stats", "statistical series and estimators"),
+        ("goldbach", "Goldbach decomposition for one N"),
+    ):
+        p = sub.add_parser(name, help=text)
+        if command in (None, name):
+            given[name] = p
 
-    p = sub.add_parser("run", help="run a recursion and print its event trace")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--initial", type=int, required=True)
-    p.add_argument("--mode", choices=("abs", "signed", "forward"), default="abs")
-    p.add_argument("--start-index", type=int, default=1)
-    p.add_argument("--zeros", type=int, default=None, help="stop after this many zeros")
-    _add_flags(p, _cmd_run, "budget")
+    if p := given.get("run"):
+        p.add_argument("--spec", required=True)
+        p.add_argument("--initial", type=int, required=True)
+        p.add_argument("--mode", choices=("abs", "signed", "forward"), default="abs")
+        p.add_argument("--start-index", type=int, default=1)
+        p.add_argument("--zeros", type=int, default=None, help="stop after this many zeros")
+        _add_flags(p, _cmd_run, "budget")
 
-    p = sub.add_parser("zeros", help="first zero indices of a recursion")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--initial", type=int, default=1)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--mode", choices=("abs", "signed"), default="abs")
-    p.add_argument("--start-index", type=int, default=1)
-    _add_flags(p, _cmd_zeros, "budget")
+    if p := given.get("zeros"):
+        p.add_argument("--spec", required=True)
+        p.add_argument("--initial", type=int, default=1)
+        p.add_argument("--count", type=int, required=True)
+        p.add_argument("--mode", choices=("abs", "signed"), default="abs")
+        p.add_argument("--start-index", type=int, default=1)
+        _add_flags(p, _cmd_zeros, "budget")
 
-    p = sub.add_parser("table", help="reproduce a reference table")
-    p.add_argument("family", choices=sorted(experiments.TABLE_PARAMS))
-    p.add_argument("--rows", type=positive_int, default=None)
-    p.add_argument("--m", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--c", type=int)
-    p.add_argument("--start", type=int)
-    p.add_argument("--key", help="appendix6 table key, e.g. beta2-1")
-    p.add_argument("--spec")
-    p.add_argument("--initial", type=int)
-    p.add_argument("--n-hi", type=int)
-    p.add_argument("--variant", choices=tuple(experiments._C8_SPECS))
-    _add_flags(p, _cmd_table, "seed", "mr-rounds")
+    if p := given.get("table"):
+        from . import experiments
 
-    p = sub.add_parser("scan", help="threshold scan over starting values")
-    p.add_argument("family", choices=sorted(experiments._SCAN_FAMILIES))
-    p.add_argument("--n-hi", type=int, required=True)
-    _add_flags(p, _cmd_scan, "workers", "seed", "mr-rounds")
+        p.add_argument("family", choices=sorted(experiments.TABLE_PARAMS))
+        p.add_argument("--rows", type=positive_int, default=None)
+        p.add_argument("--m", type=int)
+        p.add_argument("--p", type=int)
+        p.add_argument("--b", type=int)
+        p.add_argument("--c", type=int)
+        p.add_argument("--start", type=int)
+        p.add_argument("--key", help="appendix6 table key, e.g. beta2-1")
+        p.add_argument("--spec")
+        p.add_argument("--initial", type=int)
+        p.add_argument("--n-hi", type=int)
+        p.add_argument("--variant", choices=tuple(experiments._C8_SPECS))
+        _add_flags(p, _cmd_table, "seed", "mr-rounds")
 
-    p = sub.add_parser("predict", help="record-jump prediction")
-    p.add_argument("family", choices=[family.tag for family in records.PREDICTED])
-    p.add_argument("--m", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--c", type=int)
-    p.add_argument("--record", type=int, required=True)
-    p.add_argument("--tail", type=int_list, default="", help="comma-separated large negative steps")
-    _add_flags(p, _cmd_predict)
+    if p := given.get("scan"):
+        from . import experiments
 
-    p = sub.add_parser("stats", help="statistical series and estimators")
-    kinds = p.add_subparsers(dest="kind", required=True)
-    for kind, (names, command) in _STATS.items():
-        _add_flags(kinds.add_parser(kind), command, *names)
+        p.add_argument("family", choices=sorted(experiments._SCAN_FAMILIES))
+        p.add_argument("--n-hi", type=int, required=True)
+        _add_flags(p, _cmd_scan, "workers", "seed", "mr-rounds")
 
-    p = sub.add_parser("goldbach", help="Goldbach decomposition for one N")
-    p.add_argument("N", type=int)
-    p.add_argument("--variant", choices=tuple(experiments._GOLDBACH), default="alternating")
-    _add_flags(p, _cmd_goldbach, "seed", "mr-rounds")
+    if p := given.get("predict"):
+        from . import records
+
+        p.add_argument("family", choices=[family.tag for family in records.PREDICTED])
+        p.add_argument("--m", type=int)
+        p.add_argument("--b", type=int)
+        p.add_argument("--c", type=int)
+        p.add_argument("--record", type=int, required=True)
+        p.add_argument("--tail", type=int_list, default="", help="comma-separated large negative steps")
+        _add_flags(p, _cmd_predict)
+
+    if p := given.get("stats"):
+        kinds = p.add_subparsers(dest="kind", required=True)
+        for kind, (names, command) in _STATS.items():
+            _add_flags(kinds.add_parser(kind), command, *names)
+
+    if p := given.get("goldbach"):
+        from . import experiments
+
+        p.add_argument("N", type=int)
+        p.add_argument("--variant", choices=tuple(experiments._GOLDBACH), default="alternating")
+        _add_flags(p, _cmd_goldbach, "seed", "mr-rounds")
 
     return ap
 
@@ -171,6 +204,8 @@ def _write(args, rows, lines, exhausted: bool = False, **meta) -> int:
     _BLOCK lines to a write.
     """
     if args.format == "json":
+        import json
+
         flags = {key: getattr(args, key) for key in ("budget", "seed") if hasattr(args, key)}
         blocks = [json.dumps({"metadata": {"argv": args.argv, **flags, **meta}, "rows": rows()}, default=str) + "\n"]
     else:
@@ -225,6 +260,8 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from . import experiments
+
     names = set().union(*experiments.TABLE_PARAMS.values())
     params = {key: value for key, value in vars(args).items() if key in names and value is not None}
     if args.family == "appendix1":
@@ -249,6 +286,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from . import experiments
+
     report = experiments.scan_threshold(
         args.family, args.n_hi, workers=args.workers, policy=_policy(args)
     )
@@ -259,6 +298,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    from . import records
+
     family = generators._FAMILIES[args.family]
     reads = generators._keys(family)  # affine: m; power: b, c
     for key in ("m", "b", "c"):
@@ -271,16 +312,21 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_lalpha(args) -> int:
+    from . import records
+
     ms = records.sample_ms(args.samples, args.lo, args.hi, seed=args.seed)
     est = float(records.estimate_L_alpha(args.alpha, ms, policy=_policy(args)))
     return _write(args, lambda: [est], lambda: [f"{est}"], alpha=str(args.alpha))
 
 
 def _series(series_of):
-    """The stats command that writes the (x, y) pairs series_of(args)."""
+    """The stats command that writes the (x, y) pairs series_of(ex, args),
+    where ex is the experiments module, loaded when the command runs."""
 
     def command(args) -> int:
-        series = series_of(args)  # an iterator, read once by the form written
+        from . import experiments
+
+        series = series_of(experiments, args)  # an iterator, read once by the form written
         lines = lambda: chain(["x,y"], (f"{x},{y}" for x, y in series))
         return _write(args, lambda: [[x, y] for x, y in series], lines, kind=args.kind)
 
@@ -292,30 +338,31 @@ _STATS = {
     "lalpha": (("alpha", "samples", "lo", "hi", "seed", "mr-rounds"), _cmd_lalpha),
     "upsilon": (
         ("b", "c", "n-hi", "workers", "seed", "mr-rounds"),
-        _series(lambda a: experiments.upsilon(a.n_hi, a.b, a.c, workers=a.workers, policy=_policy(a))),
+        _series(lambda ex, a: ex.upsilon(a.n_hi, a.b, a.c, workers=a.workers, policy=_policy(a))),
     ),
     "upsilon-twin": (
         ("n-hi", "workers", "seed", "mr-rounds"),
-        _series(lambda a: experiments.upsilon_twin(a.n_hi, workers=a.workers, policy=_policy(a))),
+        _series(lambda ex, a: ex.upsilon_twin(a.n_hi, workers=a.workers, policy=_policy(a))),
     ),
-    "upsilon-v": (("count", "seed", "mr-rounds"), _series(lambda a: experiments.upsilon_v(a.count, policy=_policy(a)))),
-    "goldbach-constant": (("n-hi",), _series(lambda a: experiments.goldbach_constant_series(a.n_hi))),
+    "upsilon-v": (("count", "seed", "mr-rounds"), _series(lambda ex, a: ex.upsilon_v(a.count, policy=_policy(a)))),
+    "goldbach-constant": (("n-hi",), _series(lambda ex, a: ex.goldbach_constant_series(a.n_hi))),
     "gaps": (
         ("n-hi", "seed", "mr-rounds"),
-        _series(lambda a: ((n, x) for n, x, _ in experiments.gap_diagnostics(a.n_hi, policy=_policy(a)))),
+        _series(lambda ex, a: ((n, x) for n, x, _ in ex.gap_diagnostics(a.n_hi, policy=_policy(a)))),
     ),
-    "legendre": (("n-hi", "workers"), _series(lambda a: experiments.legendre_series(a.n_hi, workers=a.workers))),
+    "legendre": (("n-hi", "workers"), _series(lambda ex, a: ex.legendre_series(a.n_hi, workers=a.workers))),
 }
 
 
 def _cmd_goldbach(args) -> int:
+    from . import experiments
+
     g, claims, ap = experiments.goldbach_g(args.N, args.variant, policy=_policy(args))
     lines = lambda: ["g,claim_1,claim_2,all_prime", f"{g},{claims[0]},{claims[1]},{ap}"]
     return _write(args, lambda: [{"g": g, "claims": claims, "all_prime": ap}], lines)
 
 
 def dispatch(argv=None) -> int:
-    ap = build_parser()
     received = list(sys.argv[1:] if argv is None else argv)
     # join "--tail -3,-13" into "--tail=-3,-13" so argparse does not read the
     # leading minus of the value as an option
@@ -324,7 +371,11 @@ def dispatch(argv=None) -> int:
         if tok == "--tail":
             argv[i : i + 2] = [f"--tail={argv[i + 1]}"]
             break
-    args = ap.parse_args(argv)
+    # argparse runs the command named by the first argument that is not an
+    # option; where that is none, or no command, it stops before any
+    # command's arguments are read
+    command = next((tok for tok in argv if not tok.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     args.argv = received  # the metadata records the command line as given
     try:
         return args.command(args)

@@ -396,7 +396,17 @@ class BeattyTwin(Family, tag="beatty"):
 
     @staticmethod
     def select(n: int) -> int:
-        """r_n / 2: 1 where g(n) = n + 2, 0 where g(n) = n."""
+        """r_n / 2: 1 where g(n) = n + 2, 0 where g(n) = n.
+
+        With A = _PI_NUM, D = _PI_DEN and a' = A - 3D (0 < a' < D), write
+        A*n = q*D + r with 0 <= r < D.  Then A*(n - 1) = (q - 3)*D + (r - a')
+        with -D < r - a' < D, so floor_pi_times(n - 1) is q - 3 where r >= a'
+        and q - 4 where r < a': the digit is [A*n mod D < a'], one product
+        and one remainder.  Outside the domain of floor_pi_times, for n or
+        n - 1, its ValueError is raised.
+        """
+        if -_PI_DOMAIN < n - 1 and n < _PI_DOMAIN:
+            return 1 if _PI_NUM * n % _PI_DEN < _PI_NUM - 3 * _PI_DEN else 0
         return floor_pi_times(n) - floor_pi_times(n - 1) - 3
 
     def residue_factors(self):

@@ -1,6 +1,7 @@
 """CLI: subcommands, formats, determinism, exit codes, the flag contract."""
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gcdlab import cli
+from gcdlab import cli, experiments
 
 
 def run_cli(capsys, *argv):
@@ -307,15 +308,32 @@ def test_scalar_commands_run_without_numpy(capsys, argv):
     assert proc.stdout == expected
 
 
-def test_goldbach_constant_imports_numpy_for_its_lanes():
-    # importing the CLI loads no numpy; the lane path of goldbach-constant does
-    argv = ["stats", "goldbach-constant", "--n-hi", "300"]
+# (argv, the modules it loads, the modules it does not)
+LAYERS = [
+    ("run --spec rowland --initial 7 --mode forward --budget 3000", "", "experiments records numpy"),
+    ("zeros --spec affine:m=1 --count 5", "", "experiments records numpy"),
+    ("scan beatty --n-hi 20", "experiments", "records"),
+    ("table appendix5 --p 2", "experiments", "records"),
+    ("stats lalpha --samples 5", "records", "experiments"),
+    ("predict affine --m 1 --record 2", "records", "experiments"),
+    ("stats goldbach-constant --n-hi 300", "experiments numpy", "records"),
+]
+
+
+@pytest.mark.parametrize("argv, loads, skips", LAYERS, ids=[argv.split(" --")[0] for argv, _, _ in LAYERS])
+def test_each_command_loads_only_the_layers_it_runs(argv, loads, skips):
+    # every command is a fresh process, so each module it imports is start-up
+    # time; importing the CLI loads none of these, and the lane path of
+    # goldbach-constant loads numpy
+    names = [m if m == "numpy" else f"gcdlab.{m}" for m in (loads + " " + skips).split()]
     proc = _fresh_python(
-        "import sys; from gcdlab import cli; before = 'numpy' in sys.modules; "
-        f"code = cli.dispatch({argv!r}); print(code, before, 'numpy' in sys.modules)"
+        f"import sys; from gcdlab import cli; names = {names!r}; "
+        "before = [m for m in names if m in sys.modules]; "
+        f"code = cli.dispatch({argv.split()!r}); "
+        "print(code, before, [m for m in names if m in sys.modules])"
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False True"
+    assert proc.stdout.splitlines()[-1] == f"0 [] {names[: len(loads.split())]}"
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
@@ -507,6 +525,43 @@ def test_each_command_declares_the_flags_it_honours():
     # (command, flag) pairs: 162 when every command took the shared flags
     assert sum(map(len, declared.values())) == 88
     assert sum(len(removed(c)) for c in HONOURED) == 162 - 88
+    # the parser of one command gives the others their names alone
+    for command in {c.split()[0] for c in HONOURED}:
+        others = {c.split()[0]: set() for c in HONOURED if c.split()[0] != command}
+        own = {c: flags for c, flags in declared.items() if c.split()[0] == command}
+        assert declared_flags(cli.build_parser(command)) == {**others, **own}
+
+
+# (exit code, sha256 of stdout, stderr) of `gcdlab argv` at 80 columns,
+# recorded when every run built every command's arguments
+PARSER_OUTPUT = {
+    "--help": (0, "a3290bb585d6aa0cab47619be27e2ad4b92371aae637c2abb53a52b0142debca", ""),
+    "run --help": (0, "7f36c62f6530d7d9d3eb2e187ad357c58719077206bd956acfc342246baf2803", ""),
+    "stats lalpha --help": (0, "f547c354b6631a179a5bb1688c21a661087fb370ac26899c8dc03cedd91870c2", ""),
+    "nope": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "gcdlab: error: argument cmd: invalid choice: 'nope' (choose from 'run', 'zeros', 'table', 'scan', "
+        "'predict', 'stats', 'goldbach')\n",
+    ),
+    "scan nope --n-hi 3": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "gcdlab scan: error: argument family: invalid choice: 'nope' (choose from 'beatty', 'goldbach', 'triplet', "
+        "'twin')\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", PARSER_OUTPUT)
+def test_help_and_choice_errors_read_as_before(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = cli.dispatch(argv.split())
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == PARSER_OUTPUT[argv]
 
 
 @pytest.mark.parametrize(
@@ -548,13 +603,13 @@ def test_counts_below_one_exit_2(capsys, argv):
 def test_workers_default_to_one(monkeypatch, capsys):
     monkeypatch.setenv("GCDLAB_WORKERS", "2")  # no longer read
     seen = []
-    scan = cli.experiments.scan_threshold
+    scan = experiments.scan_threshold
 
     def spy(*args, **kwargs):
         seen.append(kwargs["workers"])
         return scan(*args, **kwargs)
 
-    monkeypatch.setattr(cli.experiments, "scan_threshold", spy)
+    monkeypatch.setattr(experiments, "scan_threshold", spy)
     assert cli.dispatch(["scan", "twin", "--n-hi", "5"]) == 0
     assert seen == [1]
 
@@ -676,8 +731,8 @@ OVERRIDES = {
 
 # table c3 takes minutes at p = 5 (3 rows); every other family stays fast
 POSITIONAL = {
-    "table": st.sampled_from([f for f in cli.experiments.TABLE_PARAMS if f != "c3"]),
-    "scan": st.sampled_from(sorted(cli.experiments._SCAN_FAMILIES)),
+    "table": st.sampled_from([f for f in experiments.TABLE_PARAMS if f != "c3"]),
+    "scan": st.sampled_from(sorted(experiments._SCAN_FAMILIES)),
     "predict": st.sampled_from(("affine", "power")),
     "goldbach": st.integers(2, 300).map(str),
 }
@@ -699,7 +754,7 @@ def grammar(command, family):
     reads, unread = set(HONOURED[command]) | {"format"}, set(removed(command))
     if command == "table":
         params = {"m", "p", "b", "c", "start", "key", "spec", "initial", "n-hi", "variant"}
-        own = {k.replace("_", "-") for k in cli.experiments.TABLE_PARAMS[family]}
+        own = {k.replace("_", "-") for k in experiments.TABLE_PARAMS[family]}
     elif command == "predict":
         params, own = {"m", "b", "c"}, {"m"} if family == "affine" else {"b", "c"}
     else:

@@ -6,7 +6,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from gcdlab import generators as G
@@ -400,6 +400,27 @@ def test_floor_pi_times_rejects_indices_outside_its_domain():
     for n in (10**25, -(10**25), 10**40):
         with pytest.raises(ValueError, match=r"\|n\| < 10\^25"):
             G.floor_pi_times(n)
+
+
+@given(st.integers(2 - 10**25, 10**25 - 1))
+@example(2 - 10**25)  # n - 1 at the lower edge of floor_pi_times' domain
+@example(10**25 - 1)
+@example(364913)  # pi*364913 is within 6e-7 of an integer
+@example(0)
+@settings(max_examples=500, deadline=None)
+def test_beatty_digit_is_the_difference_of_two_floors(n):
+    assert G.BeattyTwin.select(n) == G.floor_pi_times(n) - G.floor_pi_times(n - 1) - 3
+
+
+@pytest.mark.parametrize(
+    "n, outside", [(10**25, 10**25), (1 - 10**25, -(10**25)), (-(10**25), -(10**25)), (10**40, 10**40)]
+)
+def test_beatty_digit_raises_floor_pi_times_error_outside_its_domain(n, outside):
+    # the index of the error is n, or n - 1 where only that is outside
+    with pytest.raises(ValueError) as error:
+        G.floor_pi_times(outside)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(error.value))}$"):
+        G.BeattyTwin.select(n)
 
 
 @pytest.mark.parametrize(
